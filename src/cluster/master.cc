@@ -109,19 +109,9 @@ Master::reconcile()
     for (RequestPlan &plan : plans)
         for (SessionPlan &s : plan.sessions)
             jobs.push_back(&s);
-
-    auto runJob = [&](std::size_t i) {
-        EXIST_SPAN("session.run", obs::corrId(jobs[i]->spec.seed, i));
-        jobs[i]->result = Testbed::run(jobs[i]->spec);
-    };
-    if (threads_ == 1 || jobs.size() <= 1) {
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            runJob(i);
-    } else if (threads_ > 1) {
-        ThreadPool pool(threads_);
-        pool.parallelFor(0, jobs.size(), runJob);
-    } else {
-        ThreadPool::shared().parallelFor(0, jobs.size(), runJob);
+    {
+        ReconcilePool pool(threads_);
+        runSessions(jobs, pool.get());
     }
     sessions_run_ += jobs.size();
 

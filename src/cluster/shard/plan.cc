@@ -4,6 +4,8 @@
 
 #include "analysis/accuracy.h"
 #include "cluster/master.h"
+#include "obs/trace_plane.h"
+#include "runtime/thread_pool.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "workload/app_profile.h"
@@ -52,6 +54,7 @@ planRequest(Cluster *cluster,
         // Node-level session: simulate this worker node with every pod
         // placed on it, tracing the requested app with EXIST.
         SessionPlan session;
+        session.request_id = req.id;
         session.node = pod->node;
         ExperimentSpec &spec = session.spec;
         spec.node.num_cores = cluster->config().cores_per_node;
@@ -67,20 +70,20 @@ planRequest(Cluster *cluster,
         spec.seed = cluster->config().seed * 1000003ULL +
                     static_cast<std::uint64_t>(pod->node) * 131ULL +
                     req.id;
-        // Sessions already fan out across the pool; per-core decode
-        // inside each session shares it rather than nesting new pools.
-        // Streaming sessions are the exception: their consumers park on
-        // workers for the whole session, so each gets a small dedicated
-        // pool instead (sharing would let a backpressured producer
-        // deadlock against parked consumers).
+        // Sessions fan out across the reconcile pool (runSessions);
+        // per-core batch decode inside each session shares the process
+        // pool rather than nesting new ones. Streaming sessions decode
+        // their regions inline on their own lane: sharing the pool is
+        // unsafe (consumers would park on workers for the whole
+        // session, and a backpressured producer could deadlock against
+        // them), and a dedicated consumer pool per session only adds
+        // threads (and glibc per-thread arenas) next to lanes that
+        // already fill the reconcile pool.
         spec.streaming = req.streaming;
         spec.decode_cache = req.decode_cache;
         spec.tnt_memo_bits = req.tnt_memo_bits;
         spec.net = req.netSpec();
-        if (req.streaming)
-            spec.decode_threads = threads == 1 ? 1 : 2;
-        else
-            spec.decode_threads = threads == 1 ? 1 : 0;
+        spec.decode_threads = (threads == 1 || req.streaming) ? 1 : 0;
 
         std::vector<std::string> seen;
         for (const PodInstance *other : cluster->podsOn(pod->node)) {
@@ -98,6 +101,34 @@ planRequest(Cluster *cluster,
         plan.sessions.push_back(std::move(session));
     }
     return plan;
+}
+
+ReconcilePool::ReconcilePool(int threads)
+{
+    if (threads > 1) {
+        owned_ = std::make_unique<ThreadPool>(threads);
+        pool_ = owned_.get();
+    } else if (threads <= 0) {
+        pool_ = &ThreadPool::shared();
+    }
+}
+
+ReconcilePool::~ReconcilePool() = default;
+
+void
+runSessions(const std::vector<SessionPlan *> &sessions, ThreadPool *pool)
+{
+    auto runOne = [&sessions](std::size_t i) {
+        SessionPlan &s = *sessions[i];
+        EXIST_SPAN("session.run", obs::corrId(s.request_id, s.spec.seed));
+        s.result = Testbed::run(s.spec);
+    };
+    if (pool == nullptr || sessions.size() <= 1) {
+        for (std::size_t i = 0; i < sessions.size(); ++i)
+            runOne(i);
+        return;
+    }
+    pool->parallelFor(0, sessions.size(), runOne);
 }
 
 TraceReport

@@ -1,11 +1,11 @@
 /**
  * @file
  * Shared reconcile phases of the control plane: planning one
- * TraceRequest into worker-node sessions and publishing the completed
- * sessions into storage + a merged report. Both the serial Master and
- * the ShardedMaster call these, so "sharded reports are bit-identical
- * to serial" holds by construction, not by parallel maintenance of two
- * copies of the logic.
+ * TraceRequest into worker-node sessions, running those sessions, and
+ * publishing the completed sessions into storage + a merged report.
+ * Both the serial Master and the ShardedMaster call these, so "sharded
+ * reports are bit-identical to serial" holds by construction, not by
+ * parallel maintenance of two copies of the logic.
  *
  * Determinism contract: planning draws randomness from a *per-request*
  * RNG stream derived by splitmix64 over (cluster seed, request id), so
@@ -17,6 +17,7 @@
 #define EXIST_CLUSTER_SHARD_PLAN_H
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,10 +30,12 @@
 namespace exist {
 
 struct TraceReport;
+class ThreadPool;
 
 /** One worker-node tracing session to run (independent of all others
  *  once planned). */
 struct SessionPlan {
+    std::uint64_t request_id = 0;  ///< owning request (span correlation)
     NodeId node = kInvalidId;
     ExperimentSpec spec;
     ExperimentResult result;
@@ -63,13 +66,56 @@ std::uint64_t requestPlanSeed(std::uint64_t cluster_seed,
  * plan.outcome, or kFailed when the app is not deployed (the plan
  * then has no sessions) — the caller applies the transition under its
  * request lock. `threads` is the controller's parallelism knob and only
- * selects the per-session decode pool policy (1 = fully serial
- * sessions; anything else shares the process pool, streaming sessions
- * get small dedicated pools) — it never changes the plan itself.
+ * selects the per-session decode policy (1 = fully serial sessions;
+ * otherwise batch decode shares the process pool; a streaming session
+ * always decodes inline on its lane) — it never changes the plan
+ * itself.
  */
 RequestPlan planRequest(Cluster *cluster,
                         const RepetitionAwareCoverageOptimizer &rco,
                         TraceRequest &req, int threads);
+
+/**
+ * The fan-out pool of one reconcile() pass, from the controller's
+ * parallelism knob: none at threads == 1 (everything inline and
+ * serial), a pool of `threads` workers built for the pass at
+ * threads > 1, the process-wide ThreadPool::shared() at 0. One pool
+ * serves both the shard lanes and every request's sessions — a lane
+ * running on a worker fans its sessions out with a nested
+ * parallelFor, which helps rather than blocks — so no request builds
+ * a pool of its own.
+ */
+class ReconcilePool
+{
+  public:
+    explicit ReconcilePool(int threads);
+    ~ReconcilePool();
+
+    ReconcilePool(const ReconcilePool &) = delete;
+    ReconcilePool &operator=(const ReconcilePool &) = delete;
+
+    /** Null when the pass runs inline. */
+    ThreadPool *get() const { return pool_; }
+    /** Whether the pool was built for this pass (not the shared one). */
+    bool owned() const { return owned_ != nullptr; }
+
+  private:
+    std::unique_ptr<ThreadPool> owned_;
+    ThreadPool *pool_ = nullptr;
+};
+
+/**
+ * Phase 2 — run: fill every session's result. With a null pool (or a
+ * single session) the sessions run inline in order on the calling
+ * thread, so a crash point or exception unwinds exactly as a plain
+ * loop would. Otherwise they run concurrently on `pool` and this call
+ * returns after all of them finish, rethrowing the first failure.
+ * Sessions are pure functions of their spec, so results — and
+ * everything published from them in plan order — do not depend on
+ * the schedule.
+ */
+void runSessions(const std::vector<SessionPlan *> &sessions,
+                 ThreadPool *pool);
 
 /**
  * Data-path sink for phase 3: raw trace objects and decoded rows. The

@@ -148,27 +148,31 @@ ShardedMaster::reconcile()
 
     log_.beginEpoch(all.size());
 
+    // One pool for the whole pass: the lanes and every request's
+    // sessions fan out on it (a lane on a worker nests its sessions'
+    // parallelFor, which helps instead of blocking).
+    ReconcilePool pool(threads_);
     auto runShard = [&](std::size_t s) {
-        reconcileShard(s, pending[s], seq_of);
+        reconcileShard(s, pending[s], seq_of, pool.get());
     };
-    if (threads_ == 1 || nshards == 1) {
+    if (pool.get() == nullptr || nshards == 1) {
         for (std::size_t s = 0; s < nshards; ++s)
             runShard(s);
-    } else if (threads_ > 1) {
-        ThreadPool pool(std::min<int>(threads_,
-                                      static_cast<int>(nshards)));
-        pool.parallelFor(0, nshards, runShard);
-        metrics_->gauge("pool.tasks_run")
-            .add(static_cast<std::int64_t>(pool.tasksRun()));
-        metrics_->gauge("pool.steals")
-            .add(static_cast<std::int64_t>(pool.steals()));
     } else {
-        ThreadPool &pool = ThreadPool::shared();
-        pool.parallelFor(0, nshards, runShard);
-        metrics_->gauge("pool.tasks_run")
-            .set(static_cast<std::int64_t>(pool.tasksRun()));
-        metrics_->gauge("pool.steals")
-            .set(static_cast<std::int64_t>(pool.steals()));
+        pool.get()->parallelFor(0, nshards, runShard);
+    }
+    if (pool.get() != nullptr) {
+        // A pass-owned pool counts this pass only; the shared pool's
+        // counters are process-lifetime totals.
+        auto tasks = static_cast<std::int64_t>(pool.get()->tasksRun());
+        auto steals = static_cast<std::int64_t>(pool.get()->steals());
+        if (pool.owned()) {
+            metrics_->gauge("pool.tasks_run").add(tasks);
+            metrics_->gauge("pool.steals").add(steals);
+        } else {
+            metrics_->gauge("pool.tasks_run").set(tasks);
+            metrics_->gauge("pool.steals").set(steals);
+        }
     }
 
     EXIST_ASSERT(log_.epochComplete(),
@@ -179,7 +183,8 @@ void
 ShardedMaster::reconcileShard(std::size_t index,
                               const std::vector<std::uint64_t> &ids,
                               const std::map<std::uint64_t,
-                                             std::uint64_t> &seq_of)
+                                             std::uint64_t> &seq_of,
+                              ThreadPool *pool)
 {
     metrics::Scope scope(*metrics_, "shard." + std::to_string(index));
     metrics::Counter &reconciles = scope.counter("reconciles");
@@ -199,7 +204,7 @@ ShardedMaster::reconcileShard(std::size_t index,
         }
 
         // Plan on the request's private RNG stream, then run its
-        // worker-node sessions in this shard's lane. Planning no
+        // worker-node sessions concurrently on the pass pool. Planning no
         // longer writes the phase itself: every phase transition
         // happens under shard.mu, so concurrent phaseOf() readers
         // never race a bare store.
@@ -213,11 +218,17 @@ ShardedMaster::reconcileShard(std::size_t index,
             MutexLock lk(shard.mu);
             req->phase = plan.outcome;
         }
-        for (SessionPlan &session : plan.sessions) {
-            EXIST_SPAN("session.run", obs::corrId(id, session.spec.seed));
-            session.result = Testbed::run(session.spec);
-            recordSessionMetrics(session.result);
+        // Run the request's worker-node sessions side by side on the
+        // pass pool, then record their telemetry in plan order.
+        {
+            std::vector<SessionPlan *> jobs;
+            jobs.reserve(plan.sessions.size());
+            for (SessionPlan &session : plan.sessions)
+                jobs.push_back(&session);
+            runSessions(jobs, pool);
         }
+        for (const SessionPlan &session : plan.sessions)
+            recordSessionMetrics(session.result);
         sessions_run_.fetch_add(plan.sessions.size(),
                                 std::memory_order_relaxed);
         shard_sessions.add(plan.sessions.size());

@@ -14,12 +14,13 @@
  *   - planning uses the per-request RNG stream
  *     splitmix64(cluster seed, request id) (shared planRequest),
  *   - sessions are deterministic simulations keyed by (seed, node,
- *     request id),
+ *     request id), run side by side through the shared runSessions
+ *     fan-out and recorded in plan order after the join,
  *   - publishing iterates sessions in plan order (shared
  *     publishRequest), and
  *   - the sequenced commit applies coverage accounting in global
  *     request-id order.
- * Only wall-clock time changes with the shard count.
+ * Only wall-clock time changes with the shard and thread counts.
  */
 #ifndef EXIST_CLUSTER_SHARD_SHARDED_MASTER_H
 #define EXIST_CLUSTER_SHARD_SHARDED_MASTER_H
@@ -41,15 +42,20 @@
 
 namespace exist {
 
+class ThreadPool;
+
 class ShardedMaster
 {
   public:
     /**
      * shards: number of API-server shards (reconcile lanes). 0 picks
-     * min(hardware threads, 8). threads: session/decode parallelism
-     * knob with the same meaning as Master's (1 = fully serial
-     * sessions, 0 = shared pool). metrics: registry to record into
-     * (nullptr = the process-global registry).
+     * min(hardware threads, 8). threads: the one reconcile fan-out,
+     * with the same meaning as Master's (cluster/shard/plan.h
+     * ReconcilePool): 1 = lanes and sessions run inline and serially;
+     * N > 1 = each reconcile() builds one pool of N workers that runs
+     * the lanes and every request's node sessions side by side;
+     * 0 = the process-wide shared pool does the same. metrics:
+     * registry to record into (nullptr = the process-global registry).
      */
     explicit ShardedMaster(Cluster *cluster, RcoConfig rco_cfg = {},
                            int shards = 0, int threads = 0,
@@ -126,11 +132,13 @@ class ShardedMaster
     }
 
     /** Reconcile one shard's pending requests (runs on a pool worker;
-     *  seq_of maps request id -> global commit sequence). */
+     *  seq_of maps request id -> global commit sequence; pool is the
+     *  pass pool the sessions fan out on, null = inline). */
     void reconcileShard(std::size_t index,
                         const std::vector<std::uint64_t> &ids,
                         const std::map<std::uint64_t, std::uint64_t>
-                            &seq_of);
+                            &seq_of,
+                        ThreadPool *pool);
     void recordSessionMetrics(const ExperimentResult &result);
 
     Cluster *cluster_;

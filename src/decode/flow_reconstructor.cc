@@ -98,25 +98,61 @@ FlowStream::FlowStream(const ProgramBinary *prog, DecodeOptions opts,
     int k = std::clamp(opts_.tnt_memo_bits, 0,
                        static_cast<int>(TntMemo::kMaxBits));
     // The memo skips the per-visit path recording, so it only engages
-    // when the full block path is not requested.
+    // when the full block path is not requested. A pooled stream
+    // borrows its memo per call (borrowMemo) instead of holding one.
     if (cache_ != nullptr && k > 0 && !opts_.record_path) {
-        if (memo_pool_ != nullptr)
-            memo_ = memo_pool_->acquire(static_cast<unsigned>(k),
-                                        cache_.get());
-        if (memo_ == nullptr)
-            memo_ = std::make_unique<TntMemo>(static_cast<unsigned>(k),
-                                              cache_.get());
-        memo_stats_base_ = memo_->stats();
+        memo_k_ = static_cast<unsigned>(k);
+        if (memo_pool_ == nullptr)
+            memo_ = std::make_unique<TntMemo>(memo_k_, cache_.get());
     }
     out_.function_insns.assign(prog_->numFunctions(), 0);
     out_.function_entries.assign(prog_->numFunctions(), 0);
 }
 
-FlowStream::~FlowStream()
+FlowStream::~FlowStream() = default;
+
+/** Scope of one memo loan: borrow on entry, return on every exit. */
+struct FlowStream::MemoLoan {
+    explicit MemoLoan(FlowStream &s) : s_(s) { s_.borrowMemo(); }
+    ~MemoLoan() { s_.returnMemo(); }
+    MemoLoan(const MemoLoan &) = delete;
+    MemoLoan &operator=(const MemoLoan &) = delete;
+
+    FlowStream &s_;
+};
+
+void
+FlowStream::borrowMemo()
 {
-    // A stream abandoned before finish() still returns its memo.
-    if (memo_ != nullptr && memo_pool_ != nullptr)
-        memo_pool_->release(std::move(memo_));
+    if (memo_k_ == 0 || memo_pool_ == nullptr)
+        return;
+    memo_ = memo_pool_->acquire(memo_k_, cache_.get());
+    if (memo_ == nullptr)
+        memo_ = std::make_unique<TntMemo>(memo_k_, cache_.get());
+    memo_stats_base_ = memo_->stats();
+}
+
+void
+FlowStream::returnMemo()
+{
+    if (memo_ == nullptr || memo_pool_ == nullptr)
+        return;  // owned memo, or already returned by seal()
+    materializeTail();
+    accountMemo();
+    memo_pool_->release(std::move(memo_));
+}
+
+void
+FlowStream::accountMemo()
+{
+    const TntMemo::Stats ms = memo_->stats();
+    DecodeCacheStats &cs = out_.cache_stats;
+    cs.memo_hits += ms.hits - memo_stats_base_.hits;
+    cs.memo_misses += ms.misses - memo_stats_base_.misses;
+    cs.memo_unusable += ms.unusable - memo_stats_base_.unusable;
+    cs.memo_evictions += ms.evictions - memo_stats_base_.evictions;
+    cs.memo_bytes = std::max(cs.memo_bytes, memo_->bytes());
+    memo_stats_base_ = ms;
 }
 
 void
@@ -575,6 +611,7 @@ FlowStream::append(const std::uint8_t *data, std::size_t n)
                 std::max(projected, 2 * out_.segments.capacity()));
     }
     buf_.insert(buf_.end(), data, data + n);
+    MemoLoan loan(*this);
     pump(buf_.data(), buf_.size(), /*final=*/false);
 }
 
@@ -588,17 +625,10 @@ FlowStream::seal()
     closeSegment();
     out_.resyncs = parser_.resyncCount();
     if (memo_ != nullptr) {
-        // Deltas against the acquire-time snapshot: a pooled memo
-        // arrives warm and its lifetime counters keep running.
-        const TntMemo::Stats ms = memo_->stats();
-        out_.cache_stats.memo_hits = ms.hits - memo_stats_base_.hits;
-        out_.cache_stats.memo_misses =
-            ms.misses - memo_stats_base_.misses;
-        out_.cache_stats.memo_unusable =
-            ms.unusable - memo_stats_base_.unusable;
-        out_.cache_stats.memo_evictions =
-            ms.evictions - memo_stats_base_.evictions;
-        out_.cache_stats.memo_bytes = memo_->bytes();
+        // The result leaves with out_ below, so the last loan's counters
+        // are folded in (and a loaned memo returned) here rather than
+        // by the caller's MemoLoan.
+        accountMemo();
         if (memo_pool_ != nullptr)
             memo_pool_->release(std::move(memo_));
     }
@@ -612,6 +642,7 @@ DecodedTrace
 FlowStream::finish()
 {
     EXIST_ASSERT(!finished_, "FlowStream finished twice");
+    MemoLoan loan(*this);
     pump(buf_.data(), buf_.size(), /*final=*/true);
     return seal();
 }
@@ -621,6 +652,7 @@ FlowStream::finishWith(const std::uint8_t *data, std::size_t n)
 {
     EXIST_ASSERT(!finished_ && buf_.empty(),
                  "finishWith on a used FlowStream");
+    MemoLoan loan(*this);
     pump(data, n, /*final=*/true);
     return seal();
 }

@@ -42,7 +42,11 @@ struct DecodedSegment {
  * Fast-path telemetry for one decoded stream. Pure observability:
  * the values depend on chunking and warm-up, so they are excluded
  * from every identity comparison (unlike everything else in
- * DecodedTrace, which is a pure function of the input bytes).
+ * DecodedTrace, which is a pure function of the input bytes). Streams
+ * that borrow from one TntMemoPool on several threads (a
+ * StreamingDecoder or ParallelDecoder with more than one worker) get
+ * whichever warm memo is free, so their memo counts also depend on
+ * thread scheduling; inline (one-thread) decode repeats them exactly.
  */
 struct DecodeCacheStats {
     std::uint64_t memo_hits = 0;
@@ -51,7 +55,10 @@ struct DecodeCacheStats {
     std::uint64_t memo_evictions = 0;
     /** TNT bits retired through the memo fast path. */
     std::uint64_t memo_fast_bits = 0;
-    /** Memo table + arena footprint at finish. */
+    /** Largest table + arena footprint of any memo this stream
+     *  decoded with. A pooled memo serves many streams in turn, so
+     *  summing this over streams counts shared memos more than once:
+     *  it is a per-stream working-set figure, not process memory. */
     std::uint64_t memo_bytes = 0;
     /** Shared BlockCache table footprint (whole binary, not a share). */
     std::uint64_t block_cache_bytes = 0;
@@ -125,8 +132,11 @@ class FlowStream
     /** `cache` may share a prebuilt BlockCache across streams; when
      *  null and opts.block_cache is set, the shared per-binary cache
      *  is fetched (built once) from BlockCache::forBinary(). `pool`
-     *  (optional, must outlive the stream) recycles warm TNT memos
-     *  across streams of the same reconstructor. */
+     *  (optional, must outlive the stream) lends warm TNT memos: the
+     *  stream borrows one for each append()/finish() and returns it
+     *  before the call ends, so the live memos are bounded by the
+     *  calls running at once, not by the number of open streams.
+     *  Without a pool the stream owns one memo for its whole life. */
     explicit FlowStream(const ProgramBinary *prog, DecodeOptions opts = {},
                         std::shared_ptr<const BlockCache> cache = nullptr,
                         TntMemoPool *pool = nullptr);
@@ -167,6 +177,14 @@ class FlowStream
     void drainT(const Access &acc, bool defer_tail);
     bool tryMemoRun();
     void materializeTail();
+    /** Pooled memo lending around one public call (no-ops for a
+     *  stream that owns its memo or runs without one). */
+    struct MemoLoan;
+    void borrowMemo();
+    void returnMemo();
+    /** Fold the memo's counters since memo_stats_base_ into
+     *  out_.cache_stats. */
+    void accountMemo();
     std::uint32_t blockAt(std::uint64_t addr) const;
     void handlePacket(const Packet &pkt);
     DecodedTrace seal();
@@ -174,10 +192,15 @@ class FlowStream
     const ProgramBinary *prog_;
     DecodeOptions opts_;
     std::shared_ptr<const BlockCache> cache_;  ///< null: legacy walk
-    std::unique_ptr<TntMemo> memo_;            ///< null: bit-by-bit
-    TntMemoPool *memo_pool_ = nullptr;  ///< memo_ returns here at seal
-    /** Memo stats at stream start (a pooled memo arrives warm); the
-     *  per-stream cache_stats are deltas against this. */
+    /** Owned for the stream's life (no pool), or on loan from
+     *  memo_pool_ for the duration of one call; null between calls
+     *  and when memoization is off (bit-by-bit decode). */
+    std::unique_ptr<TntMemo> memo_;
+    TntMemoPool *memo_pool_ = nullptr;
+    unsigned memo_k_ = 0;  ///< memo window; 0: memoization off
+    /** Memo stats when the current loan (or the owned memo) started: a
+     *  pooled memo arrives warm, so the per-stream cache_stats are
+     *  deltas against this, summed over loans. */
     TntMemo::Stats memo_stats_base_;
     std::vector<std::uint8_t> buf_;
     PacketParser parser_{nullptr, 0};
@@ -210,7 +233,9 @@ class FlowStream
     // run only records the entry's arena tail *offset* here — not even
     // resolved to a pointer — and the copy into static_tail_ happens
     // on the rare reads/extensions (materializeTail). While stale_ is
-    // set, static_tail_ is out of date.
+    // set, static_tail_ is out of date. A loaned memo is returned only
+    // after its tail is materialized: the offset means nothing in the
+    // next loan's arena.
     std::uint32_t lazy_tail_off_ = 0;
     std::uint8_t lazy_tail_len_ = 0;
     bool lazy_tail_stale_ = false;
@@ -244,7 +269,7 @@ class FlowReconstructor
     }
 
     /** Open a resumable stream for incremental decode. Streams borrow
-     *  the reconstructor's memo pool and must not outlive it. */
+     *  memos from the reconstructor's pool and must not outlive it. */
     FlowStream
     stream() const
     {

@@ -99,7 +99,8 @@ StreamingDecoder::addCore(CoreId core)
     EXIST_ASSERT(!publishing_started_.load(std::memory_order_relaxed),
                  "addCore after first publish");
     cores_.push_back(
-        std::make_unique<CoreState>(core, prog_, opts_, cache_));
+        std::make_unique<CoreState>(core, prog_, opts_, cache_,
+                                    &memo_pool_));
 }
 
 StreamingDecoder::CoreState &
@@ -209,6 +210,7 @@ StreamingDecoder::stats() const
         regions_published_.load(std::memory_order_relaxed);
     s.bytes_published = bytes_published_.load(std::memory_order_relaxed);
     s.queue_high_water = queue_.highWater();
+    s.memos = memo_pool_.size();
     return s;
 }
 

@@ -99,6 +99,9 @@ class StreamingDecoder
         std::uint64_t regions_published = 0;
         std::uint64_t bytes_published = 0;
         std::size_t queue_high_water = 0;
+        /** TNT memos parked in the session's pool: after finish(), all
+         *  it ever built — at most the appends that ran at once. */
+        std::size_t memos = 0;
     };
 
     StreamingDecoder(const ProgramBinary *prog, DecodeOptions opts = {},
@@ -149,8 +152,9 @@ class StreamingDecoder
 
         CoreState(CoreId c, const ProgramBinary *prog,
                   DecodeOptions opts,
-                  std::shared_ptr<const BlockCache> cache)
-            : core(c), stream(prog, opts, std::move(cache))
+                  std::shared_ptr<const BlockCache> cache,
+                  TntMemoPool *memo_pool)
+            : core(c), stream(prog, opts, std::move(cache), memo_pool)
         {
         }
     };
@@ -163,6 +167,12 @@ class StreamingDecoder
     /** One BlockCache per session, read-only across every core's
      *  stream and worker (null when decode_cache is off). */
     std::shared_ptr<const BlockCache> cache_;
+    /** TNT memos lent to the core streams for one append()/finish()
+     *  at a time, so the session holds as many memos as chunks decode
+     *  at once (at most the worker count), not one per traced core.
+     *  Declared before cores_ so it outlives every stream. Its kLeaf
+     *  lock is taken under a core's kDecodeCore lock. */
+    TntMemoPool memo_pool_;
     std::unique_ptr<ThreadPool> pool_;  ///< null in inline mode
     RegionQueue queue_;
     std::vector<std::unique_ptr<CoreState>> cores_;

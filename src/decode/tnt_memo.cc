@@ -12,29 +12,68 @@ TntMemo::TntMemo(unsigned k, const BlockCache *cache)
     : k_(k), cache_(cache)
 {
     EXIST_ASSERT(k_ >= 1 && k_ <= kMaxBits, "tnt_memo_bits out of range");
-    // Size the table to the binary: the working set is roughly (hot
-    // conditional blocks) x (windows per block), so a small loop
+    // Cap the table at the binary's size: the working set is roughly
+    // (hot conditional blocks) x (windows per block), so a small loop
     // kernel is served by a few hundred sets that stay L1/L2-resident
     // — lookup latency is the fast path's whole cost — while large
-    // binaries grow up to the per-k cap.
-    const std::size_t cap = k_ <= 4 ? kSetsSmall : kSetsLarge;
+    // binaries may grow up to the per-k ceiling. The table starts at
+    // kSetsMin either way and grows only when its entries start to
+    // evict each other, so a stream that decodes little never pays
+    // for (or zero-fills) the cap.
+    const std::size_t ceiling = k_ <= 4 ? kSetsSmall : kSetsLarge;
     std::size_t want = cache_->numBlocks();
     if (k_ > 4)
         want <<= (k_ - 4 < 4 ? k_ - 4 : 4);
-    std::size_t sets = kSetsMin;
-    while (sets < cap && sets < want)
-        sets <<= 1;
+    sets_cap_ = kSetsMin;
+    while (sets_cap_ < ceiling && sets_cap_ < want)
+        sets_cap_ <<= 1;
+    sizeTable(kSetsMin);
+    scratch_deltas_.reserve(64);
+}
+
+void
+TntMemo::sizeTable(std::size_t sets)
+{
     unsigned log2_sets = 0;
     while ((std::size_t{1} << log2_sets) < sets)
         ++log2_sets;
     set_shift_ = 64 - log2_sets;
     table_.assign(sets * kWays, Entry{});
-    scratch_deltas_.reserve(64);
+}
+
+void
+TntMemo::grow()
+{
+    // Fibonacci hashing takes the set from the top bits of the product,
+    // so doubling splits old set s into new sets 2s and 2s+1: at most
+    // kWays entries land in either, and every entry survives.
+    std::vector<Entry> old = std::move(table_);
+    sizeTable(old.size() / kWays * 2);
+    for (const Entry &e : old) {
+        if (!e.valid())
+            continue;
+        Entry *ways = waysFor(e.key);
+        std::size_t w = 0;
+        while (ways[w].valid())
+            ++w;
+        ways[w] = e;
+    }
 }
 
 const TntMemo::Entry *
 TntMemo::missPath(Entry *ways, std::uint32_t block, std::uint32_t bits)
 {
+    // A miss that would evict means the table is too small for the
+    // working set: double it (up to the cap) and probe again instead of
+    // evicting, so below the cap no entry the full-size table would
+    // keep is ever lost.
+    bool set_full = true;
+    for (std::size_t w = 0; w < kWays; ++w)
+        set_full = set_full && ways[w].valid();
+    if (set_full && sets() < sets_cap_) {
+        grow();
+        ways = waysFor(Entry::makeKey(block, bits));
+    }
     Entry *victim = &ways[0];
     for (std::size_t w = 1; w < kWays; ++w) {
         if (!victim->valid())

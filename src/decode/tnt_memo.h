@@ -22,9 +22,10 @@
  * slow path, which is how cache-on output stays bit-identical to
  * cache-off by construction (DESIGN.md §11).
  *
- * One TntMemo per FlowStream, i.e. per decode worker: lookups and
- * inserts are single-threaded by confinement and need no locks. Only
- * the BlockCache is shared.
+ * A TntMemo is used by one FlowStream at a time — owned for the
+ * stream's life, or lent from a TntMemoPool for one append()/finish()
+ * — so lookups and inserts are single-threaded by confinement and need
+ * no locks. Only the BlockCache is shared.
  */
 #ifndef EXIST_DECODE_TNT_MEMO_H
 #define EXIST_DECODE_TNT_MEMO_H
@@ -213,10 +214,7 @@ class TntMemo
     {
         ++tick_;
         const std::uint64_t key = Entry::makeKey(block, bits);
-        const std::size_t set =
-            static_cast<std::size_t>(key * 0x9e3779b97f4a7c15ULL >>
-                                     set_shift_);
-        Entry *ways = &table_[set * kWays];
+        Entry *ways = waysFor(key);
         for (std::size_t w = 0; w < kWays; ++w) {
             if (ways[w].key == key) {
                 ways[w].last_use = tick_;
@@ -278,11 +276,15 @@ class TntMemo
         return table_.size() * sizeof(Entry) + arena_.bytesReserved();
     }
 
+    /** Sets in the table now (grows under load; see missPath). */
+    std::size_t sets() const { return table_.size() / kWays; }
+
   private:
-    /** Set-count bounds: the ctor sizes the table to the binary's
-     *  block count (see there), between kSetsMin and a per-k cap —
-     *  wide windows multiply distinct keys per block, so k > 4 gets a
-     *  higher conflict-floor cap. */
+    /** Set-count bounds: the table starts at kSetsMin sets and doubles
+     *  under load (missPath) up to a cap sized to the binary's block
+     *  count (see the ctor), itself bounded by a per-k ceiling — wide
+     *  windows multiply distinct keys per block, so k > 4 gets a
+     *  higher conflict-floor ceiling. */
     static constexpr std::size_t kSetsMin = 512;
     static constexpr std::size_t kSetsSmall = 4096;   ///< cap, k <= 4
     static constexpr std::size_t kSetsLarge = 16384;  ///< cap, k > 4
@@ -298,9 +300,22 @@ class TntMemo
                           std::uint32_t bits);
     const Entry *build(Entry &slot, std::uint32_t block,
                        std::uint32_t bits);
+    /** The kWays slots of @p key's set. */
+    Entry *
+    waysFor(std::uint64_t key)
+    {
+        const std::size_t set =
+            static_cast<std::size_t>(key * 0x9e3779b97f4a7c15ULL >>
+                                     set_shift_);
+        return &table_[set * kWays];
+    }
+    /** Double the set count, rehashing every valid entry. */
+    void grow();
+    void sizeTable(std::size_t sets);
 
     unsigned k_;
     const BlockCache *cache_;
+    std::size_t sets_cap_;      ///< growth stops at this many sets
     unsigned set_shift_;        ///< 64 - log2(sets)
     std::vector<Entry> table_;  ///< sets * kWays, set-major
     MemoArena arena_;
@@ -315,14 +330,16 @@ class TntMemo
 };
 
 /**
- * Recycler for TntMemo instances across streams of one reconstructor.
- * Memo contents never influence decode output (fast-path applies are
- * count-for-count the slow path's transitions), so a warm table from a
- * previous buffer of the same binary is pure profit: the next stream
- * starts at the steady-state hit rate instead of re-replaying every
- * hot window from cold. Each stream still owns its memo exclusively
- * between acquire and release — the pool is the only shared state, and
- * it is touched once per stream at each end.
+ * Lender of TntMemo instances to the streams of one reconstructor or
+ * one streaming session. Memo contents never influence decode output
+ * (fast-path applies are count-for-count the slow path's transitions),
+ * so a warm table from another buffer of the same binary is pure
+ * profit: the borrower starts at the steady-state hit rate instead of
+ * re-replaying every hot window from cold. A stream borrows a memo for
+ * one append()/finish() and returns it before the call ends, so the
+ * pool holds as many memos as calls ever ran at once. The borrower has
+ * the memo exclusively between acquire and release — the pool is the
+ * only shared state, touched once at each end of a call.
  */
 class TntMemoPool
 {
@@ -353,8 +370,17 @@ class TntMemoPool
         free_.push_back(std::move(m));
     }
 
+    /** Memos parked in the pool; with no call running, every memo its
+     *  borrowers ever built. */
+    std::size_t
+    size() const
+    {
+        MutexLock lk(mu_);
+        return free_.size();
+    }
+
   private:
-    Mutex mu_{lockorder::LockRank::kLeaf, "decode.memo_pool"};
+    mutable Mutex mu_{lockorder::LockRank::kLeaf, "decode.memo_pool"};
     std::vector<std::unique_ptr<TntMemo>> free_
         EXIST_GUARDED_BY(mu_);
 };

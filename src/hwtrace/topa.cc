@@ -1,5 +1,6 @@
 #include "hwtrace/topa.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/logging.h"
@@ -17,13 +18,14 @@ TopaBuffer::configure(std::vector<TopaEntry> entries, bool ring)
         EXIST_ASSERT(e.size_bytes > 0, "zero-sized ToPA region");
         capacity_ += e.size_bytes;
     }
-    store_.assign(capacity_, 0);
+    store_ = {};  // a new table starts from an empty store
     reset();
 }
 
 void
 TopaBuffer::reset()
 {
+    store_.clear();  // keeps the allocation for the next fill
     cursor_ = 0;
     region_ = 0;
     region_fill_ = 0;
@@ -50,7 +52,14 @@ TopaBuffer::write(const std::uint8_t *data, std::uint64_t n)
         const TopaEntry &e = entries_[region_];
         std::uint64_t room = e.size_bytes - region_fill_;
         std::uint64_t take = room < n ? room : n;
-        std::memcpy(store_.data() + cursor_, data, take);
+        if (cursor_ == store_.size()) {
+            // Filling fresh store: append (no zero-fill to overwrite).
+            reserveFor(cursor_ + take);
+            store_.insert(store_.end(), data, data + take);
+        } else {
+            // A wrapped ring overwrites its oldest bytes in place.
+            std::memcpy(store_.data() + cursor_, data, take);
+        }
         cursor_ += take;
         region_fill_ += take;
         bytes_accepted_ += take;
@@ -82,6 +91,19 @@ TopaBuffer::write(const std::uint8_t *data, std::uint64_t n)
         }
     }
     return res;
+}
+
+void
+TopaBuffer::reserveFor(std::uint64_t end)
+{
+    if (end <= store_.capacity())
+        return;
+    // Geometric growth, capped at the chain's capacity; the floor keeps
+    // small early writes from reallocating one by one.
+    constexpr std::uint64_t kMinReserve = 64 * 1024;
+    std::uint64_t want =
+        std::max<std::uint64_t>({end, 2 * store_.capacity(), kMinReserve});
+    store_.reserve(static_cast<std::size_t>(std::min(want, capacity_)));
 }
 
 void

@@ -37,6 +37,10 @@ struct TopaWriteResult {
 /**
  * The output buffer backing a ToPA chain. Content is stored linearly in
  * the order regions appear in the table; ring wrap resets the cursor.
+ * The backing store grows with the write cursor instead of being
+ * allocated (and zero-filled) at its full capacity up front: a session
+ * sized for a large budget usually writes a small fraction of it, and
+ * no byte outside [0, high-water cursor) is ever read.
  */
 class TopaBuffer
 {
@@ -66,9 +70,10 @@ class TopaBuffer
     bool hasWrapped() const { return wraps_ != 0; }
 
     /**
-     * Stored content. For ring buffers that wrapped, the valid data is
-     * the last capacity() bytes written; wrapOffset() marks the logical
-     * start (oldest byte) within data().
+     * Stored content: every byte written since the last reset/drain,
+     * up to capacity(). For ring buffers that wrapped, data() holds
+     * exactly capacity() bytes — the last capacity() written — and
+     * wrapOffset() marks the logical start (oldest byte) within it.
      */
     const std::vector<std::uint8_t> &data() const { return store_; }
     std::uint64_t wrapOffset() const { return wraps_ ? cursor_ : 0; }
@@ -82,8 +87,9 @@ class TopaBuffer
     /**
      * Streaming hook: called with the freshly-filled span of the store
      * each time a region boundary is crossed (including the STOP
-     * region), while the session is still tracing. The span is stable
-     * until the next configure()/reset()/drainTo(). Non-destructive —
+     * region), while the session is still tracing. The span is valid
+     * only for the duration of the call (the store may move as it
+     * grows), so a consumer copies what it keeps. Non-destructive —
      * the fill state, STOP semantics and data() content are exactly as
      * without a callback, so batch collection stays bit-identical.
      * Only legal for non-ring chains (a wrap would overwrite bytes a
@@ -102,11 +108,15 @@ class TopaBuffer
 
   private:
     void publishReady();
+    /** Grow store_'s allocation to hold [0, end) (end <= capacity). */
+    void reserveFor(std::uint64_t end);
 
     std::vector<TopaEntry> entries_;
     bool ring_ = false;
     std::uint64_t capacity_ = 0;
 
+    /** Bytes written since reset/drain: size() is the high-water
+     *  cursor, never more than capacity_. */
     std::vector<std::uint8_t> store_;
     std::uint64_t cursor_ = 0;        ///< next write offset in store_
     std::size_t region_ = 0;          ///< current table entry

@@ -211,9 +211,11 @@ chromeTraceJson()
 
     std::string out;
     out += "{\"displayTimeUnit\":\"ms\",\n\"otherData\":{";
-    appendf(out, "\"events_recorded\":%" PRIu64 ",\"threads\":%" PRIu64
-                 ",\"threads_dropped\":%" PRIu64 "},\n",
-            eventsRecorded(), threadsRegistered(), threadsDropped());
+    appendf(out, "\"events_recorded\":%" PRIu64 ",\"events_lost\":%" PRIu64
+                 ",\"threads\":%" PRIu64 ",\"threads_dropped\":%" PRIu64
+                 "},\n",
+            eventsRecorded(), eventsLost(), threadsRegistered(),
+            threadsDropped());
     out += "\"traceEvents\":[\n";
     bool first = true;
     writeMeta(out, first, "process_name", kRealPid, 0, false, "exist");

@@ -88,6 +88,10 @@ flightDumpText(std::size_t last_n)
     if (dropped)
         appendf(out, "-- %" PRIu64 " thread(s) unrecorded (table full) --\n",
                 dropped);
+    std::uint64_t lost = eventsLost();
+    if (lost)
+        appendf(out, "-- %" PRIu64 " event(s) overwritten by ring wrap --\n",
+                lost);
     return out;
 }
 

@@ -157,6 +157,13 @@ emitEvent(std::uint64_t ts, const char *name, std::uint64_t corr, Kind kind,
     r->write_pos.store(seq + 1, std::memory_order_release);
 }
 
+/** Events a ring with write cursor @p end has overwritten. */
+std::uint64_t
+ringLost(std::uint64_t end)
+{
+    return end > kRingCapacity ? end - kRingCapacity : 0;
+}
+
 std::uint64_t
 simArg(std::uint32_t node, std::uint32_t payload)
 {
@@ -308,6 +315,7 @@ snapshot()
         ts.name = loadName(r);
         std::uint64_t end = r->write_pos.load(std::memory_order_acquire);
         ts.total = end;
+        ts.lost = ringLost(end);
         std::uint64_t begin = end > kRingCapacity ? end - kRingCapacity : 0;
         std::vector<std::uint64_t> raw;
         raw.reserve((end - begin) * 4);
@@ -365,6 +373,21 @@ std::uint64_t
 threadsDropped()
 {
     return g_threads_dropped.load(std::memory_order_relaxed);
+}
+
+std::uint64_t
+eventsLost()
+{
+    std::uint64_t lost = 0;
+    int n = g_ring_count.load(std::memory_order_acquire);
+    if (n > kMaxRings)
+        n = kMaxRings;
+    for (int i = 0; i < n; ++i) {
+        Ring *r = g_rings[i].load(std::memory_order_acquire);
+        if (r)
+            lost += ringLost(r->write_pos.load(std::memory_order_acquire));
+    }
+    return lost;
 }
 
 }  // namespace exist::obs

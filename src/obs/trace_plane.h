@@ -140,6 +140,7 @@ struct ThreadSnapshot {
     int ring;            ///< stable ring index (Perfetto tid)
     std::string name;    ///< thread name at snapshot time
     std::uint64_t total; ///< events ever recorded into this ring
+    std::uint64_t lost;  ///< of those, overwritten by ring wrap
     std::vector<EventView> events;
 };
 
@@ -154,6 +155,11 @@ std::uint64_t threadsRegistered();
 
 /** Events discarded because the thread-ring table was full. */
 std::uint64_t threadsDropped();
+
+/** Events overwritten by ring wrap before any collector could copy
+ *  them, summed over rings: each ring loses whatever it recorded past
+ *  its capacity. Nonzero means a self-trace export is incomplete. */
+std::uint64_t eventsLost();
 
 }  // namespace exist::obs
 

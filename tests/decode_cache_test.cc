@@ -16,6 +16,8 @@
 #include "analysis/testbed.h"
 #include "decode/block_cache.h"
 #include "decode/flow_reconstructor.h"
+#include "decode/tnt_memo.h"
+#include "workload/branch.h"
 
 namespace exist {
 namespace {
@@ -164,6 +166,71 @@ TEST(DecodeCache, WarmMemoPoolReuseIsIdentical)
     EXPECT_GT(second.cache_stats.memo_hits, 0u);
     EXPECT_LE(second.cache_stats.memo_misses,
               first.cache_stats.memo_misses);
+}
+
+TEST(DecodeCache, PoollessStreamOwnsItsMemoAcrossAppends)
+{
+    // A stream opened without a pool keeps one memo for its whole life.
+    // A stream lent memos from a private pool gets that pool's single
+    // memo back at every append, so under one chunking both see the
+    // same memo history: identical output and identical memo counters.
+    const auto &traces = sessionTraces();
+    ASSERT_FALSE(traces.empty());
+    auto bin = Testbed::binaryForApp("mc");
+    const CollectedTrace &ct = traces.front();
+    const DecodedTrace ref =
+        FlowReconstructor(bin.get(), offOptions()).decode(ct.bytes);
+    auto cache = BlockCache::forBinary(bin.get());
+    TntMemoPool pool;
+    FlowStream owned(bin.get(), DecodeOptions{}, cache, nullptr);
+    FlowStream lent(bin.get(), DecodeOptions{}, cache, &pool);
+    std::size_t off = 0;
+    for (std::size_t sz : randomChunks(ct.bytes.size(), 31, 512)) {
+        owned.append(ct.bytes.data() + off, sz);
+        lent.append(ct.bytes.data() + off, sz);
+        off += sz;
+        // Between calls the lent memo is back in the pool.
+        ASSERT_EQ(pool.size(), 1u);
+    }
+    const DecodedTrace a = owned.finish();
+    const DecodedTrace b = lent.finish();
+    expectSameDecode(a, ref);
+    expectSameDecode(b, ref);
+    EXPECT_GT(a.cache_stats.memo_hits, 0u);
+    EXPECT_EQ(a.cache_stats.memo_hits, b.cache_stats.memo_hits);
+    EXPECT_EQ(a.cache_stats.memo_misses, b.cache_stats.memo_misses);
+    EXPECT_EQ(a.cache_stats.memo_evictions, b.cache_stats.memo_evictions);
+    EXPECT_EQ(a.cache_stats.memo_fast_bits, b.cache_stats.memo_fast_bits);
+    EXPECT_EQ(a.cache_stats.memo_bytes, b.cache_stats.memo_bytes);
+    EXPECT_EQ(pool.size(), 1u);
+}
+
+TEST(DecodeCache, MemoTableStartsSmallAndGrowsUnderLoad)
+{
+    // The table starts at its minimum and doubles on the first miss
+    // that would evict; a binary's worth of distinct windows grows it,
+    // never past the per-k ceiling.
+    auto bin = Testbed::binaryForApp("Search1");
+    auto cache = BlockCache::forBinary(bin.get());
+    TntMemo memo(6, cache.get());
+    const std::size_t initial = memo.sets();
+    EXPECT_EQ(initial, 512u);
+    EXPECT_LT(memo.bytes(), 2u * 1024 * 1024);
+    std::uint64_t lookups = 0;
+    for (std::uint32_t b = 0; b < cache->numBlocks(); ++b) {
+        if (cache->info(b).branchKind() != BranchKind::kConditional)
+            continue;
+        for (std::uint32_t bits = 0; bits < 64; bits += 4) {
+            memo.lookupOrBuild(b, bits);
+            ++lookups;
+        }
+    }
+    // Several times the initial slot count (initial sets x 4 ways).
+    ASSERT_GT(lookups, 4u * 4u * initial);
+    EXPECT_GT(memo.sets(), initial);
+    EXPECT_LE(memo.sets(), 16384u);
+    const TntMemo::Stats st = memo.stats();
+    EXPECT_EQ(st.hits + st.misses + st.unusable, lookups);
 }
 
 TEST(DecodeCache, SharedBlockCacheAcrossThreads)

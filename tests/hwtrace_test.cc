@@ -6,12 +6,17 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <vector>
+
 #include "decode/flow_reconstructor.h"
 #include "decode/packet_parser.h"
 #include "hwtrace/msr.h"
 #include "hwtrace/packet_writer.h"
 #include "hwtrace/topa.h"
 #include "hwtrace/tracer.h"
+#include "util/rng.h"
 #include "workload/execution.h"
 
 namespace exist {
@@ -240,6 +245,153 @@ TEST(Topa, FlushRegionReadyPublishesTail)
     EXPECT_EQ(published[4], 5);
     EXPECT_EQ(buf.flushRegionReady(), 0u);  // idempotent
     EXPECT_EQ(buf.publishedBytes(), 5u);
+}
+
+/**
+ * Reference model of the ToPA output as one flat, fully preallocated
+ * array — the layout TopaBuffer had before its store grew with the
+ * cursor. The growing store must reproduce it byte for byte: stored
+ * content, drain order, wrap offset and region-ready spans.
+ */
+struct FlatTopa {
+    std::vector<TopaEntry> entries;
+    bool ring = false;
+    std::vector<std::uint8_t> store;  // capacity bytes, zero-filled
+    std::uint64_t cursor = 0;
+    std::uint64_t fill = 0;
+    std::size_t region = 0;
+    bool stopped = false;
+    std::uint64_t wraps = 0;
+    std::uint64_t published = 0;
+    std::vector<std::uint8_t> spans;  // concatenated region-ready output
+
+    FlatTopa(std::vector<TopaEntry> e, bool r) : entries(std::move(e)), ring(r)
+    {
+        std::uint64_t cap = 0;
+        for (const TopaEntry &t : entries)
+            cap += t.size_bytes;
+        store.assign(cap, 0);
+    }
+
+    void
+    write(const std::uint8_t *d, std::uint64_t n)
+    {
+        while (n > 0 && !stopped) {
+            const TopaEntry &e = entries[region];
+            std::uint64_t take = std::min(e.size_bytes - fill, n);
+            std::memcpy(store.data() + cursor, d, take);
+            cursor += take;
+            fill += take;
+            d += take;
+            n -= take;
+            if (fill < e.size_bytes)
+                continue;
+            if (e.stop) {
+                stopped = true;
+            } else if (region + 1 < entries.size()) {
+                ++region;
+                fill = 0;
+            } else if (ring) {
+                region = 0;
+                fill = 0;
+                cursor = 0;
+                ++wraps;
+            } else {
+                stopped = true;
+            }
+            if (!ring)
+                publish();
+        }
+    }
+
+    void
+    publish()
+    {
+        spans.insert(spans.end(),
+                     store.begin() + static_cast<std::ptrdiff_t>(published),
+                     store.begin() + static_cast<std::ptrdiff_t>(cursor));
+        published = cursor;
+    }
+
+    std::vector<std::uint8_t>
+    drain()
+    {
+        auto at = [this](std::uint64_t i) {
+            return store.begin() + static_cast<std::ptrdiff_t>(i);
+        };
+        std::vector<std::uint8_t> out;
+        if (wraps == 0) {
+            out.assign(at(0), at(cursor));
+        } else {
+            out.assign(at(cursor), store.end());
+            out.insert(out.end(), at(0), at(cursor));
+        }
+        cursor = fill = published = wraps = 0;
+        region = 0;
+        stopped = false;
+        return out;
+    }
+};
+
+TEST(Topa, GrowingStoreMatchesFlatReferenceModel)
+{
+    Rng rng(4242);
+    for (int trial = 0; trial < 300; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        std::vector<TopaEntry> entries;
+        const int nregions = 1 + static_cast<int>(rng.uniformInt(4));
+        for (int i = 0; i < nregions; ++i)
+            entries.push_back(TopaEntry{1 + rng.uniformInt(3000),
+                                        rng.bernoulli(0.15),
+                                        rng.bernoulli(0.3)});
+        const bool ring = rng.bernoulli(0.5);
+        TopaBuffer buf;
+        buf.configure(entries, ring);
+        FlatTopa ref(entries, ring);
+        std::vector<std::uint8_t> spans;
+        if (!ring)
+            buf.setRegionReadyCallback(
+                [&spans](const std::uint8_t *d, std::uint64_t n) {
+                    spans.insert(spans.end(), d, d + n);
+                });
+
+        std::vector<std::uint8_t> chunk(2048);
+        for (int step = 0; step < 40; ++step) {
+            if (rng.bernoulli(0.1)) {
+                std::vector<std::uint8_t> out;
+                buf.drainTo(out);
+                ASSERT_EQ(out, ref.drain());
+                if (!ring) {
+                    ASSERT_EQ(buf.publishedBytes(), 0u);
+                }
+                continue;
+            }
+            const std::uint64_t n = 1 + rng.uniformInt(chunk.size());
+            for (std::uint64_t i = 0; i < n; ++i)
+                chunk[i] = static_cast<std::uint8_t>(rng.next());
+            buf.write(chunk.data(), n);
+            ref.write(chunk.data(), n);
+
+            // Stored content: exactly the written prefix (the whole
+            // chain once a ring wrapped), equal to the flat layout.
+            ASSERT_EQ(buf.stopped(), ref.stopped);
+            ASSERT_EQ(buf.hasWrapped(), ref.wraps != 0);
+            ASSERT_EQ(buf.wrapOffset(), ref.wraps != 0 ? ref.cursor : 0);
+            const std::uint64_t held =
+                ref.wraps != 0 ? ref.store.size() : ref.cursor;
+            ASSERT_EQ(buf.data().size(), held);
+            ASSERT_TRUE(std::equal(buf.data().begin(), buf.data().end(),
+                                   ref.store.begin()));
+        }
+        if (!ring) {
+            buf.flushRegionReady();
+            ref.publish();
+            ASSERT_EQ(spans, ref.spans);
+        }
+        std::vector<std::uint8_t> out;
+        buf.drainTo(out);
+        ASSERT_EQ(out, ref.drain());
+    }
 }
 
 TEST(PacketWriter, TntPacksSixPerByte)

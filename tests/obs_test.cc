@@ -120,6 +120,31 @@ TEST(ObsTest, ThreadTotalCountsEverythingEverRecorded)
     EXPECT_TRUE(found);
 }
 
+TEST(ObsTest, RingOverwritesAreCountedAsLost)
+{
+    // No silent loss: every event a ring overwrote before a collector
+    // could copy it is counted, per ring and in the process total.
+    const std::uint64_t before = obs::eventsLost();
+    std::thread t([] {
+        obs::setThreadName("obs_test.lossy");
+        for (int i = 0; i < 9000; ++i)
+            obs::instant("obs_test.lossy", obs::corrId(2));
+    });
+    t.join();
+    EXPECT_GE(obs::eventsLost() - before, 9000u - 8192u);
+    bool found = false;
+    for (const obs::ThreadSnapshot &snap : obs::snapshot()) {
+        if (snap.name != "obs_test.lossy")
+            continue;
+        found = true;
+        EXPECT_GE(snap.lost, 9000u - 8192u);
+        // The writer is gone, so nothing is torn: what survives plus
+        // what was lost is everything recorded.
+        EXPECT_EQ(snap.events.size() + snap.lost, snap.total);
+    }
+    EXPECT_TRUE(found);
+}
+
 TEST(ObsTest, SimEventsCarryNodeAndPayload)
 {
     obs::simInstant("obs_test.sim", obs::corrId(9), Cycles{12345}, 7,

@@ -2,17 +2,21 @@
  * @file
  * Sharded control-plane tests: the headline determinism guarantee
  * (ShardedMaster reports are bit-identical to the serial Master for
- * any shard count × submit order), commit-log ordering, and
- * TSan-targeted stress of concurrent submits, striped stores and the
- * lock-striped metrics registry (runs in the `concurrency` suite).
+ * any shard count × submit order), byte-identical multi-session
+ * reports when a request's node sessions fan out across the reconcile
+ * pool, commit-log ordering, and TSan-targeted stress of concurrent
+ * submits, striped stores and the lock-striped metrics registry (runs
+ * in the `concurrency` suite).
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cluster/control_journal.h"
 #include "cluster/master.h"
 #include "cluster/metrics.h"
 #include "cluster/shard/commit_log.h"
@@ -386,6 +390,95 @@ TEST(ShardedMasterStress, MetricsRegistryHammer)
     EXPECT_EQ(registry.histogram("op.latency_us").count(),
               static_cast<std::uint64_t>(kThreads) * kOps);
     EXPECT_EQ(registry.histogram("op.latency_us").max(), 4095u);
+}
+
+/** Everything a reconcile publishes, for fan-out comparisons. */
+struct FanOutRun {
+    ControlStateDump dump;
+    std::uint64_t sessions = 0;
+    std::int64_t tasks_run = 0;
+};
+
+/** Reconcile multi-session anomaly requests (3 + 2 node sessions) on
+ *  a ShardedMaster with the given fan-out. */
+FanOutRun
+reconcileAnomalies(int threads, int shards, bool streaming, bool net)
+{
+    Cluster cluster(smallConfig());
+    deployDemo(cluster);
+    metrics::Registry registry;
+    ShardedMaster master(&cluster, {}, shards, threads, &registry);
+    std::string knobs = " period_ms=12 budget_mb=32";
+    if (streaming)
+        knobs += " streaming=true";
+    if (net)
+        knobs += " net=true loss=0.05";
+    master.apply("app=Cache anomaly=true" + knobs);
+    master.apply("app=Search2 anomaly=true" + knobs);
+    master.apply("app=Cache anomaly=true" + knobs);
+    master.reconcile();
+
+    FanOutRun run;
+    run.dump = master.dumpState();
+    run.sessions = master.sessionsRun();
+    run.tasks_run = registry.gauge("pool.tasks_run").value();
+    return run;
+}
+
+/**
+ * A request's node sessions run side by side on the reconcile pool;
+ * the published reports, objects and rows must not depend on the
+ * thread count or the shard count. threads=1 shards=1 is the
+ * reference.
+ */
+void
+expectFanOutIdentical(bool streaming, bool net)
+{
+    const FanOutRun ref = reconcileAnomalies(1, 1, streaming, net);
+    ASSERT_EQ(ref.dump.reports.size(), 3u);
+    for (const auto &[id, report] : ref.dump.reports)
+        ASSERT_GE(report.traced_nodes.size(), 2u);
+    EXPECT_EQ(ref.sessions, 8u);
+    for (int threads : {1, 2, 4}) {
+        for (int shards : {1, 2}) {
+            if (threads == 1 && shards == 1)
+                continue;
+            SCOPED_TRACE("threads=" + std::to_string(threads) +
+                         " shards=" + std::to_string(shards));
+            const FanOutRun run =
+                reconcileAnomalies(threads, shards, streaming, net);
+            EXPECT_TRUE(run.dump.reports == ref.dump.reports);
+            EXPECT_TRUE(run.dump.objects == ref.dump.objects);
+            EXPECT_TRUE(run.dump.rows == ref.dump.rows);
+            EXPECT_TRUE(run.dump.ledger == ref.dump.ledger);
+            EXPECT_EQ(run.sessions, ref.sessions);
+            if (threads == 2) {
+                // The sessions really ran on the pass pool: a silent
+                // serial fallback runs no pool task.
+                EXPECT_GT(run.tasks_run, 0);
+            }
+        }
+    }
+}
+
+TEST(ShardedMasterFanOut, BatchSessionsIdenticalAcrossThreads)
+{
+    expectFanOutIdentical(/*streaming=*/false, /*net=*/false);
+}
+
+TEST(ShardedMasterFanOut, BatchNetSessionsIdenticalAcrossThreads)
+{
+    expectFanOutIdentical(/*streaming=*/false, /*net=*/true);
+}
+
+TEST(ShardedMasterFanOut, StreamingSessionsIdenticalAcrossThreads)
+{
+    expectFanOutIdentical(/*streaming=*/true, /*net=*/false);
+}
+
+TEST(ShardedMasterFanOut, StreamingNetSessionsIdenticalAcrossThreads)
+{
+    expectFanOutIdentical(/*streaming=*/true, /*net=*/true);
 }
 
 TEST(CommitLogTest, AppliesOutOfOrderCommitsInSequence)

@@ -128,6 +128,40 @@ TEST(RegionQueue, BackpressureBoundsDepth)
     EXPECT_LE(q.highWater(), 2u);
 }
 
+/**
+ * Publish every buffer in random-sized regions, round-robin across
+ * cores (the arrival interleaving a live session would produce).
+ */
+void
+publishInterleaved(StreamingDecoder &sd,
+                   const std::vector<CollectedTrace> &traces,
+                   std::uint32_t seed, std::size_t max_chunk)
+{
+    struct Cursor {
+        std::vector<std::size_t> chunks;
+        std::size_t next_chunk = 0;
+        std::size_t off = 0;
+    };
+    std::vector<Cursor> cursors(traces.size());
+    for (std::size_t i = 0; i < traces.size(); ++i)
+        cursors[i].chunks =
+            randomChunks(traces[i].bytes.size(),
+                         seed + static_cast<std::uint32_t>(i), max_chunk);
+    bool progress = true;
+    while (progress) {
+        progress = false;
+        for (std::size_t i = 0; i < cursors.size(); ++i) {
+            Cursor &c = cursors[i];
+            if (c.next_chunk >= c.chunks.size())
+                continue;
+            std::size_t sz = c.chunks[c.next_chunk++];
+            sd.publish(traces[i].core, traces[i].bytes.data() + c.off, sz);
+            c.off += sz;
+            progress = true;
+        }
+    }
+}
+
 TEST(FlowStream, ChunkedEqualsBatchUnderRandomizedSplits)
 {
     ExperimentResult r = Testbed::run(sessionSpec());
@@ -192,33 +226,7 @@ TEST(StreamingDecoder, MatchesParallelDecoderAcrossThreadsAndChunks)
             for (const CollectedTrace &ct : r.raw_traces)
                 sd.addCore(ct.core);
 
-            // Publish every buffer in random-sized regions, round-robin
-            // across cores (arrival interleaving a live session would
-            // produce).
-            struct Cursor {
-                std::vector<std::size_t> chunks;
-                std::size_t next_chunk = 0;
-                std::size_t off = 0;
-            };
-            std::vector<Cursor> cursors(r.raw_traces.size());
-            for (std::size_t i = 0; i < r.raw_traces.size(); ++i)
-                cursors[i].chunks = randomChunks(
-                    r.raw_traces[i].bytes.size(), seed + (std::uint32_t)i,
-                    8192);
-            bool progress = true;
-            while (progress) {
-                progress = false;
-                for (std::size_t i = 0; i < cursors.size(); ++i) {
-                    Cursor &c = cursors[i];
-                    if (c.next_chunk >= c.chunks.size())
-                        continue;
-                    std::size_t sz = c.chunks[c.next_chunk++];
-                    sd.publish(r.raw_traces[i].core,
-                               r.raw_traces[i].bytes.data() + c.off, sz);
-                    c.off += sz;
-                    progress = true;
-                }
-            }
+            publishInterleaved(sd, r.raw_traces, seed, 8192);
 
             auto decoded = sd.finish();
             ASSERT_EQ(decoded.size(), baseline.size());
@@ -234,6 +242,58 @@ TEST(StreamingDecoder, MatchesParallelDecoderAcrossThreadsAndChunks)
                 total_bytes += ct.bytes.size();
             EXPECT_EQ(st.bytes_published, total_bytes);
             EXPECT_GT(st.regions_published, r.raw_traces.size());
+        }
+    }
+}
+
+TEST(StreamingDecoder, LentMemosMatchBatchAcrossThreadsAndChunks)
+{
+    // Memo on (the default options): every core's stream borrows a TNT
+    // memo from the session's pool for one append at a time, so a memo
+    // warmed on one core decodes another's regions next. Output must
+    // equal the memo-off batch reference at any chunking and worker
+    // count, and the session builds no more memos than appends ran at
+    // once — not one per traced core.
+    ExperimentResult r = Testbed::run(sessionSpec());
+    ASSERT_GT(r.raw_traces.size(), 5u);
+    auto binary = Testbed::binaryForApp("mc");
+    DecodeOptions ref_opts;
+    ref_opts.tnt_memo_bits = 0;
+    FlowReconstructor ref(binary.get(), ref_opts);
+    std::vector<DecodedTrace> baseline;
+    for (const CollectedTrace &ct : r.raw_traces)
+        baseline.push_back(ref.decode(ct.bytes));
+
+    for (int threads : {1, 2, 4}) {
+        for (std::uint32_t seed : {21u, 22u}) {
+            for (std::size_t max_chunk : {std::size_t{64},
+                                          std::size_t{8192}}) {
+                SCOPED_TRACE("threads=" + std::to_string(threads) +
+                             " seed=" + std::to_string(seed) +
+                             " max_chunk=" + std::to_string(max_chunk));
+                StreamingDecoder sd(binary.get(), DecodeOptions{}, threads,
+                                    /*queue_capacity=*/4);
+                for (const CollectedTrace &ct : r.raw_traces)
+                    sd.addCore(ct.core);
+                publishInterleaved(sd, r.raw_traces, seed, max_chunk);
+                auto decoded = sd.finish();
+                ASSERT_EQ(decoded.size(), baseline.size());
+                std::uint64_t hits = 0;
+                for (std::size_t i = 0; i < decoded.size(); ++i) {
+                    SCOPED_TRACE("buffer " + std::to_string(i));
+                    EXPECT_EQ(decoded[i].first, r.raw_traces[i].core);
+                    expectSameDecode(decoded[i].second, baseline[i]);
+                    hits += decoded[i].second.cache_stats.memo_hits;
+                }
+                EXPECT_GT(hits, 0u);
+                // Consumers plus the finish() caller, which helps the
+                // tail fan-out: the most appends that run at once.
+                const std::size_t most =
+                    threads == 1 ? 1u : static_cast<std::size_t>(threads) + 1;
+                const std::size_t memos = sd.stats().memos;
+                EXPECT_GE(memos, 1u);
+                EXPECT_LE(memos, most);
+            }
         }
     }
 }

@@ -115,6 +115,19 @@ def run_google_benchmark(path, bench_filter):
     return 0, records, proc.stdout
 
 
+def effective_scale(requested):
+    """The EXIST_BENCH_SCALE the benches ran at: --scale if given, else
+    the inherited environment, else the benches' default of 1.0 (the
+    rule bench/common.h periodScale() applies)."""
+    raw = requested if requested is not None else \
+        os.environ.get("EXIST_BENCH_SCALE")
+    try:
+        value = float(raw) if raw is not None else 1.0
+    except ValueError:
+        value = 1.0
+    return value if value > 0.0 else 1.0
+
+
 def summarize(records):
     """Pull the headline numbers out of the raw per-config records."""
     summary = {}
@@ -205,6 +218,31 @@ def summarize(records):
             "degraded_total": sum(r.get("degraded", 0) for r in col),
             "all_identical": all(r.get("identical") for r in col),
         }
+    recov = [r for r in records
+             if r.get("bench") == "recovery_time" and "recovery_s" in r]
+    if recov:
+        # Headline at the longest journal: full-log replay against the
+        # snapshot intervals that bound the replayed tail.
+        requests = max(r.get("requests", 0) for r in recov)
+        at = [r for r in recov if r.get("requests") == requests]
+        full = [r for r in at if not r.get("snapshot_interval")]
+        snap = [r for r in at if r.get("snapshot_interval")]
+        best = min(snap, key=lambda r: r["recovery_s"]) if snap else None
+        replay = [r for r in records
+                  if r.get("bench") == "recovery_time"
+                  and r.get("mode") == "wal_replay"]
+        summary["recovery_time"] = {
+            "requests": requests,
+            "full_replay_recovery_s":
+                full[0]["recovery_s"] if full else None,
+            "best_snapshot_interval":
+                best.get("snapshot_interval") if best else None,
+            "best_snapshot_recovery_s":
+                best["recovery_s"] if best else None,
+            "worst_recovery_s": max(r["recovery_s"] for r in recov),
+            "wal_replay_mb_per_sec":
+                replay[-1].get("replay_mb_per_sec") if replay else None,
+        }
     return summary
 
 
@@ -226,6 +264,7 @@ def main():
     out_path = args.out or f"BENCH_{args.bench_set}.json"
 
     records = []
+    scale = effective_scale(args.scale)
     for name in benches:
         path = os.path.join(args.build_dir, "bench", name)
         if not os.path.exists(path):
@@ -238,7 +277,7 @@ def main():
                 rc, lines, output = run_google_benchmark(
                     path, GOOGLE_BENCHMARK_BENCHES[name])
             else:
-                rc, lines, output = run_bench(path, args.scale)
+                rc, lines, output = run_bench(path, scale)
         except BenchOutputError as e:
             print(f"bench output error: {e}", file=sys.stderr)
             return 1
@@ -254,7 +293,7 @@ def main():
 
     doc = {
         "benches": benches,
-        "scale": args.scale,
+        "scale": scale,
         "records": records,
         "summary": summarize(records),
     }

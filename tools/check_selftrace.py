@@ -9,8 +9,13 @@ Checks the properties the observability PR promises (DESIGN.md §14):
     sim-clock events on pids >= 100;
   - duration events balance: every "B" has a matching "E" per
     (pid, tid), with proper nesting;
-  - flow links pair up: every flow id with an "s" also has an "f";
-  - process/thread metadata names the pids/tids that carry events.
+  - flow links pair up: every flow id with an "s" also has an "f"
+    (unless events were lost and ``--allow-loss`` accepted that);
+  - process/thread metadata names the pids/tids that carry events;
+  - nothing was lost: ``otherData`` reports zero events overwritten by
+    ring wrap (``events_lost``) and zero threads past the ring table
+    (``threads_dropped``). Pass ``--allow-loss`` when a run is known to
+    outgrow the rings; the counts are then printed, not enforced.
 
 Exit status 0 when all hold, 1 with a diagnostic otherwise.
 """
@@ -29,6 +34,8 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("trace", help="self-trace JSON file")
     ap.add_argument("--min-categories", type=int, default=8)
+    ap.add_argument("--allow-loss", action="store_true",
+                    help="accept a self-trace whose rings lost events")
     args = ap.parse_args()
 
     with open(args.trace, "r", encoding="utf-8") as f:
@@ -36,6 +43,17 @@ def main():
     events = doc.get("traceEvents")
     if not isinstance(events, list) or not events:
         return fail("no traceEvents array")
+
+    other = doc.get("otherData") or {}
+    lost = other.get("events_lost")
+    dropped = other.get("threads_dropped")
+    if not isinstance(lost, int) or not isinstance(dropped, int):
+        return fail("otherData lacks events_lost/threads_dropped: "
+                    "cannot tell whether the trace is complete")
+    if (lost or dropped) and not args.allow_loss:
+        return fail("incomplete self-trace: %d event(s) lost to ring "
+                    "wrap, %d thread(s) dropped (pass --allow-loss if "
+                    "expected)" % (lost, dropped))
 
     cats = set()
     pids = set()
@@ -74,9 +92,14 @@ def main():
         if stack:
             return fail("unclosed B %r on pid=%s tid=%s"
                         % (stack[-1], key[0], key[1]))
+    # A ring that wrapped may have overwritten one end of a flow; with
+    # loss allowed those half-flows are expected, not a defect.
+    half_flows = 0
     for fid, phases in flows.items():
         if phases != {"s", "f"}:
-            return fail("flow %s has only %s" % (fid, sorted(phases)))
+            if not lost:
+                return fail("flow %s has only %s" % (fid, sorted(phases)))
+            half_flows += 1
 
     if len(cats) < args.min_categories:
         return fail("only %d categories (%s); need >= %d"
@@ -94,9 +117,10 @@ def main():
                     % sorted(event_tids - named_tids))
 
     print("check_selftrace: OK: %d events, %d categories (%s), "
-          "%d pids, flows balanced"
+          "%d pids, %d half-flows, %d lost, %d threads dropped"
           % (sum(1 for e in events if e.get("ph") != "M"),
-             len(cats), ", ".join(sorted(cats)), len(pids)))
+             len(cats), ", ".join(sorted(cats)), len(pids), half_flows,
+             lost, dropped))
     return 0
 
 

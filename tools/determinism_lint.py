@@ -174,8 +174,8 @@ RULES = [
         re.compile(
             r"\b(?:obs::)?(?:chromeTraceJson|flightDumpText|"
             r"flightDumpTo)\s*\("
-            r"|\bobs::(?:snapshot|eventsRecorded|threadsRegistered|"
-            r"threadsDropped)\s*\("
+            r"|\bobs::(?:snapshot|eventsRecorded|eventsLost|"
+            r"threadsRegistered|threadsDropped)\s*\("
         ),
         None,  # applies everywhere under src/ except OBS_READ_HOMES
     ),

@@ -25,7 +25,9 @@
  *       perf knobs: the report is bit-identical either way.
  *       --shards N switches to the sharded control plane: a demo
  *       cluster deploys <app>, a stream of anomaly requests reconciles
- *       across N API-server shards, and the merged reports print.
+ *       across N API-server shards, and the merged reports print;
+ *       each request's node sessions run side by side on the --threads
+ *       pool, and --streaming makes every session decode as it traces.
  *       --net routes the session result through the collection plane
  *       (node trace agent -> master ingest over the simulated fabric,
  *       cluster/collection.h) at the given loss/reorder/duplicate
@@ -207,7 +209,7 @@ netManifest(const net::NetSpec &net)
 int
 traceSharded(const std::string &app, double period_ms,
              std::uint64_t budget_mb, int shards, int threads,
-             bool decode_cache, int tnt_memo_bits,
+             bool streaming, bool decode_cache, int tnt_memo_bits,
              const net::NetSpec &net)
 {
     ClusterConfig cc;
@@ -221,6 +223,8 @@ traceSharded(const std::string &app, double period_ms,
         "app=" + app + " anomaly=true period_ms=" +
         std::to_string(static_cast<long long>(period_ms)) +
         " budget_mb=" + std::to_string(budget_mb);
+    if (streaming)
+        manifest += " streaming=true";
     if (!decode_cache)
         manifest += " decode_cache=off";
     if (tnt_memo_bits != 6)
@@ -485,7 +489,7 @@ cmdTrace(int argc, char **argv)
                         snapshot_interval, crash_at);
     if (shards > 0)
         return traceSharded(app, period_ms, budget_mb, shards, threads,
-                            decode_cache, tnt_memo_bits, net);
+                            streaming, decode_cache, tnt_memo_bits, net);
 
     AppProfile profile = AppCatalog::find(app);
     ExperimentSpec spec;
@@ -715,9 +719,10 @@ cmdTop(int argc, char **argv)
         // The observability plane's own health, as telemetry.
         note("existctl",
              "obs: %llu span events across %llu threads "
-             "(%llu dropped)",
+             "(%llu lost to ring wrap, %llu threads dropped)",
              (unsigned long long)obs::eventsRecorded(),
              (unsigned long long)obs::threadsRegistered(),
+             (unsigned long long)obs::eventsLost(),
              (unsigned long long)obs::threadsDropped());
     }
     return 0;
@@ -805,9 +810,11 @@ main(int argc, char **argv)
         std::fclose(f);
         note("existctl",
              "self-trace: %llu events from %llu threads "
-             "(%llu dropped) -> %s (%zu bytes)",
+             "(%llu lost to ring wrap, %llu threads dropped) -> %s "
+             "(%zu bytes)",
              (unsigned long long)obs::eventsRecorded(),
              (unsigned long long)obs::threadsRegistered(),
+             (unsigned long long)obs::eventsLost(),
              (unsigned long long)obs::threadsDropped(),
              g_self_trace.c_str(), json.size());
     }
