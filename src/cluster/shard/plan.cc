@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "analysis/accuracy.h"
-#include "cluster/master.h"
 #include "obs/trace_plane.h"
 #include "runtime/thread_pool.h"
 #include "util/logging.h"
@@ -102,18 +101,6 @@ planRequest(Cluster *cluster,
     }
     return plan;
 }
-
-ReconcilePool::ReconcilePool(int threads)
-{
-    if (threads > 1) {
-        owned_ = std::make_unique<ThreadPool>(threads);
-        pool_ = owned_.get();
-    } else if (threads <= 0) {
-        pool_ = &ThreadPool::shared();
-    }
-}
-
-ReconcilePool::~ReconcilePool() = default;
 
 void
 runSessions(const std::vector<SessionPlan *> &sessions, ThreadPool *pool)

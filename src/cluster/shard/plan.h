@@ -3,9 +3,9 @@
  * Shared reconcile phases of the control plane: planning one
  * TraceRequest into worker-node sessions, running those sessions, and
  * publishing the completed sessions into storage + a merged report.
- * Both the serial Master and the ShardedMaster call these, so "sharded
- * reports are bit-identical to serial" holds by construction, not by
- * parallel maintenance of two copies of the logic.
+ * ShardedMaster sequences these per request on its shard lanes; the
+ * benchmark drives them layer by layer, so both see the same bytes by
+ * construction.
  *
  * Determinism contract: planning draws randomness from a *per-request*
  * RNG stream derived by splitmix64 over (cluster seed, request id), so
@@ -17,7 +17,6 @@
 #define EXIST_CLUSTER_SHARD_PLAN_H
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,8 +28,27 @@
 
 namespace exist {
 
-struct TraceReport;
 class ThreadPool;
+
+/** The merged outcome of one reconciled trace request. */
+struct TraceReport {
+    std::uint64_t request_id = 0;
+    std::string app;
+    Cycles period = 0;
+    std::vector<NodeId> traced_nodes;
+    std::vector<double> per_worker_accuracy;
+    /** Wall accuracy of the merged profile vs the merged reference. */
+    double merged_accuracy = 0.0;
+    std::vector<std::uint64_t> merged_function_insns;
+    /** Merged exhaustive reference across workers (for re-scoring
+     *  subsets, e.g. the Fig. 20 sweep). */
+    std::vector<std::uint64_t> merged_truth_function_insns;
+    std::uint64_t total_trace_bytes = 0;
+    /** Mean slowdown observed on the traced pods (sanity telemetry). */
+    double mean_target_cpi = 0.0;
+
+    bool operator==(const TraceReport &) const = default;
+};
 
 /** One worker-node tracing session to run (independent of all others
  *  once planned). */
@@ -49,7 +67,7 @@ struct RequestPlan {
      *  when planning rejected it). planRequest never writes
      *  req->phase itself: the caller owns the transition so it can
      *  apply it under whatever lock guards the request (the
-     *  ShardedMaster's shard lock; the serial Master needs none). */
+     *  ShardedMaster's shard lock). */
     RequestPhase outcome = RequestPhase::kFailed;
     Cycles period = 0;
     std::vector<int> workers;
@@ -76,35 +94,6 @@ RequestPlan planRequest(Cluster *cluster,
                         TraceRequest &req, int threads);
 
 /**
- * The fan-out pool of one reconcile() pass, from the controller's
- * parallelism knob: none at threads == 1 (everything inline and
- * serial), a pool of `threads` workers built for the pass at
- * threads > 1, the process-wide ThreadPool::shared() at 0. One pool
- * serves both the shard lanes and every request's sessions — a lane
- * running on a worker fans its sessions out with a nested
- * parallelFor, which helps rather than blocks — so no request builds
- * a pool of its own.
- */
-class ReconcilePool
-{
-  public:
-    explicit ReconcilePool(int threads);
-    ~ReconcilePool();
-
-    ReconcilePool(const ReconcilePool &) = delete;
-    ReconcilePool &operator=(const ReconcilePool &) = delete;
-
-    /** Null when the pass runs inline. */
-    ThreadPool *get() const { return pool_; }
-    /** Whether the pool was built for this pass (not the shared one). */
-    bool owned() const { return owned_ != nullptr; }
-
-  private:
-    std::unique_ptr<ThreadPool> owned_;
-    ThreadPool *pool_ = nullptr;
-};
-
-/**
  * Phase 2 — run: fill every session's result. With a null pool (or a
  * single session) the sessions run inline in order on the calling
  * thread, so a crash point or exception unwinds exactly as a plain
@@ -118,9 +107,9 @@ void runSessions(const std::vector<SessionPlan *> &sessions,
                  ThreadPool *pool);
 
 /**
- * Data-path sink for phase 3: raw trace objects and decoded rows. The
- * serial Master backs this with plain ObjectStore/OdpsTable; the
- * sharded path with their striped variants (+ metrics).
+ * Data-path sink for phase 3: raw trace objects and decoded rows.
+ * ShardedMaster backs this with the striped stores (+ metrics); a
+ * journaled publish captures into one first (control_journal.h).
  */
 class StoreSink
 {

@@ -66,6 +66,8 @@ ShardedMaster::ShardedMaster(Cluster *cluster, RcoConfig rco_cfg,
     metrics_->gauge("shards").set(shards);
 }
 
+ShardedMaster::~ShardedMaster() = default;
+
 std::uint64_t
 ShardedMaster::submit(TraceRequest req)
 {
@@ -126,9 +128,9 @@ void
 ShardedMaster::reconcile()
 {
     // Snapshot the pending ids per shard and rank every pending id in
-    // global id order — the rank is its commit sequence, making the
-    // sequenced tail of publishing identical to the serial Master's
-    // request-order loop.
+    // global id order — the rank is its commit sequence, so the
+    // sequenced tail of publishing runs in request order at any shard
+    // count.
     std::size_t nshards = shards_.size();
     std::vector<std::vector<std::uint64_t>> pending(nshards);
     std::vector<std::uint64_t> all;
@@ -151,28 +153,23 @@ ShardedMaster::reconcile()
     // One pool for the whole pass: the lanes and every request's
     // sessions fan out on it (a lane on a worker nests its sessions'
     // parallelFor, which helps instead of blocking).
-    ReconcilePool pool(threads_);
+    ThreadPool *pool = reconcilePool();
     auto runShard = [&](std::size_t s) {
-        reconcileShard(s, pending[s], seq_of, pool.get());
+        reconcileShard(s, pending[s], seq_of, pool);
     };
-    if (pool.get() == nullptr || nshards == 1) {
+    if (pool == nullptr || nshards == 1) {
         for (std::size_t s = 0; s < nshards; ++s)
             runShard(s);
     } else {
-        pool.get()->parallelFor(0, nshards, runShard);
+        pool->parallelFor(0, nshards, runShard);
     }
-    if (pool.get() != nullptr) {
-        // A pass-owned pool counts this pass only; the shared pool's
-        // counters are process-lifetime totals.
-        auto tasks = static_cast<std::int64_t>(pool.get()->tasksRun());
-        auto steals = static_cast<std::int64_t>(pool.get()->steals());
-        if (pool.owned()) {
-            metrics_->gauge("pool.tasks_run").add(tasks);
-            metrics_->gauge("pool.steals").add(steals);
-        } else {
-            metrics_->gauge("pool.tasks_run").set(tasks);
-            metrics_->gauge("pool.steals").set(steals);
-        }
+    if (pool != nullptr) {
+        // Lifetime totals of the pool: this master's own pool, or the
+        // process-wide one.
+        metrics_->gauge("pool.tasks_run")
+            .set(static_cast<std::int64_t>(pool->tasksRun()));
+        metrics_->gauge("pool.steals")
+            .set(static_cast<std::int64_t>(pool->steals()));
     }
 
     EXIST_ASSERT(log_.epochComplete(),
@@ -204,7 +201,7 @@ ShardedMaster::reconcileShard(std::size_t index,
         }
 
         // Plan on the request's private RNG stream, then run its
-        // worker-node sessions concurrently on the pass pool. Planning no
+        // worker-node sessions concurrently on the pool. Planning no
         // longer writes the phase itself: every phase transition
         // happens under shard.mu, so concurrent phaseOf() readers
         // never race a bare store.
@@ -219,7 +216,7 @@ ShardedMaster::reconcileShard(std::size_t index,
             req->phase = plan.outcome;
         }
         // Run the request's worker-node sessions side by side on the
-        // pass pool, then record their telemetry in plan order.
+        // pool, then record their telemetry in plan order.
         {
             std::vector<SessionPlan *> jobs;
             jobs.reserve(plan.sessions.size());
@@ -342,6 +339,18 @@ ShardedMaster::recordSessionMetrics(const ExperimentResult &result)
     metrics_->counter("sessions.run").add();
 }
 
+ThreadPool *
+ShardedMaster::reconcilePool()
+{
+    if (threads_ == 1)
+        return nullptr;
+    if (threads_ <= 0)
+        return &ThreadPool::shared();
+    if (pool_ == nullptr)
+        pool_ = std::make_unique<ThreadPool>(threads_);
+    return pool_.get();
+}
+
 ControlStateDump
 ShardedMaster::dumpState() const
 {
@@ -382,16 +391,20 @@ ShardedMaster::restoreForRecovery(const ControlStateDump &dump)
         odps_.insert(row);
 }
 
-Master::Footprint
+ShardedMaster::Footprint
 ShardedMaster::managementFootprint() const
 {
+    // Calibrated to the paper's Fig. 17 measurement: the RCO management
+    // pod consumes < 3e-3 cores and ~40 MB on a ten-node cluster, with
+    // sub-linear growth toward per-mille overhead at thousand scale.
     // Per-shard footprints summed: each shard carries its slice of the
     // API-server state plus a fixed per-shard overhead (reconcile
-    // loop, stripe locks), on top of the pool-thread memory.
+    // loop, stripe locks). Pool threads are parked outside reconcile,
+    // so they cost stack memory and housekeeping, not cores.
     double nodes = cluster_->numNodes();
     auto nshards = static_cast<double>(shards_.size());
     int threads = threads_ > 0 ? threads_ : ThreadPool::defaultThreads();
-    Master::Footprint f{0.0, 0.0};
+    Footprint f{0.0, 0.0};
     for (std::size_t s = 0; s < shards_.size(); ++s) {
         f.cores += (0.0008 + 0.0002 * nodes) / nshards;
         f.memory_mb += (36.0 + 0.4 * nodes) / nshards + 0.5;

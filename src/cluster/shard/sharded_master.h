@@ -1,16 +1,25 @@
 /**
  * @file
- * Sharded control plane (the ROADMAP's "sharded cluster reconcile"):
- * the API-server state — TraceRequests, reports, per-request planning
- * RNG streams — is partitioned across N shards by request id; each
- * shard runs its own reconcile loop on the runtime work-stealing pool,
- * publishing to lock-striped stores so shards never contend on one
- * store mutex. Cross-shard invariants (the global id stream, RCO
- * coverage accounting, report registration order) go through a small
- * sequenced CommitLog.
+ * The Kubernetes-master-side integration (paper §4 + §3.4): an API
+ * server holding TraceRequest CRDs, and a reconciling controller that
+ * (1) asks RCO for the tracing period and the set of repetitions,
+ * (2) runs an EXIST session on each selected worker node,
+ * (3) uploads raw trace objects to the object store,
+ * (4) decodes them against the binary repository and writes structured
+ *     rows to the table store, and
+ * (5) merges per-worker traces into one augmented report.
  *
- * Determinism: reports are bit-identical to the serial Master for any
- * shard count and any scheduling, because
+ * The controller is sharded: the API-server state — TraceRequests,
+ * reports, per-request planning RNG streams — is partitioned across N
+ * shards by request id; each shard runs its own reconcile loop on the
+ * runtime work-stealing pool, publishing to lock-striped stores so
+ * shards never contend on one store mutex. Cross-shard invariants
+ * (the global id stream, RCO coverage accounting, report registration
+ * order) go through a small sequenced CommitLog.
+ *
+ * Determinism: reports are bit-identical for any shard count, thread
+ * count and scheduling — one shard at one thread is the reference —
+ * because
  *   - planning uses the per-request RNG stream
  *     splitmix64(cluster seed, request id) (shared planRequest),
  *   - sessions are deterministic simulations keyed by (seed, node,
@@ -32,7 +41,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/master.h"
 #include "cluster/metrics.h"
 #include "cluster/shard/commit_log.h"
 #include "cluster/shard/plan.h"
@@ -42,6 +50,8 @@
 
 namespace exist {
 
+class ControlJournal;
+struct ControlStateDump;
 class ThreadPool;
 
 class ShardedMaster
@@ -49,17 +59,22 @@ class ShardedMaster
   public:
     /**
      * shards: number of API-server shards (reconcile lanes). 0 picks
-     * min(hardware threads, 8). threads: the one reconcile fan-out,
-     * with the same meaning as Master's (cluster/shard/plan.h
-     * ReconcilePool): 1 = lanes and sessions run inline and serially;
-     * N > 1 = each reconcile() builds one pool of N workers that runs
-     * the lanes and every request's node sessions side by side;
-     * 0 = the process-wide shared pool does the same. metrics:
-     * registry to record into (nullptr = the process-global registry).
+     * min(hardware threads, 8). threads: the one reconcile fan-out:
+     * 1 = lanes and sessions run inline and serially (the reference
+     * configuration, with shards = 1); N > 1 = a pool of N workers,
+     * built on the first reconcile() and kept for the master's
+     * lifetime, runs the lanes and every request's node sessions side
+     * by side; 0 = the process-wide shared pool does the same.
+     * metrics: registry to record into (nullptr = the process-global
+     * registry).
      */
     explicit ShardedMaster(Cluster *cluster, RcoConfig rco_cfg = {},
                            int shards = 0, int threads = 0,
                            metrics::Registry *metrics = nullptr);
+    ~ShardedMaster();
+
+    ShardedMaster(const ShardedMaster &) = delete;
+    ShardedMaster &operator=(const ShardedMaster &) = delete;
 
     /** Create a TraceRequest (API server write; thread-safe). */
     std::uint64_t submit(TraceRequest req);
@@ -93,9 +108,13 @@ class ShardedMaster
         return sessions_run_.load(std::memory_order_relaxed);
     }
 
-    /** Per-shard footprints summed + pool-thread memory (Fig. 17
-     *  telemetry for the sharded plane). */
-    Master::Footprint managementFootprint() const;
+    /** Management-plane resource footprint (paper Fig. 17): per-shard
+     *  footprints summed, plus the reconcile pool's threads. */
+    struct Footprint {
+        double cores;
+        double memory_mb;
+    };
+    Footprint managementFootprint() const;
 
     /**
      * Attach the durability journal (cluster/control_journal.h).
@@ -133,13 +152,17 @@ class ShardedMaster
 
     /** Reconcile one shard's pending requests (runs on a pool worker;
      *  seq_of maps request id -> global commit sequence; pool is the
-     *  pass pool the sessions fan out on, null = inline). */
+     *  reconcile pool the sessions fan out on, null = inline). */
     void reconcileShard(std::size_t index,
                         const std::vector<std::uint64_t> &ids,
                         const std::map<std::uint64_t, std::uint64_t>
                             &seq_of,
                         ThreadPool *pool);
     void recordSessionMetrics(const ExperimentResult &result);
+    /** The reconcile fan-out pool for `threads_`: null at 1 (inline),
+     *  the shared pool at 0, else this master's own pool, built on
+     *  first use. Called only from reconcile(). */
+    ThreadPool *reconcilePool();
 
     Cluster *cluster_;
     RepetitionAwareCoverageOptimizer rco_;
@@ -152,6 +175,9 @@ class ShardedMaster
     StripedObjectStore oss_;
     StripedOdpsTable odps_;
     std::atomic<std::uint64_t> sessions_run_{0};
+    /** Owned reconcile pool (threads_ > 1); last, so its workers are
+     *  joined before the state they could touch is destroyed. */
+    std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace exist

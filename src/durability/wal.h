@@ -71,8 +71,10 @@ struct ClusterMeta {
     std::uint64_t cluster_seed = 0;
     int num_nodes = 0;
     int cores_per_node = 0;
-    /** API-server shard count the log was written under; 0 = the
-     *  serial Master. Recovery rebuilds the same control plane. */
+    /** API-server shard count the log was written under; recovery
+     *  rebuilds the master with the same count. 0 is legacy (logs
+     *  from the retired serial controller) and recovers as one
+     *  shard; the stored value is kept so snapshots still match. */
     int shards = 0;
     std::uint64_t snapshot_interval = 0;
     /** (app, replicas) in deploy order. */

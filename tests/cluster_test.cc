@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/crd.h"
-#include "cluster/master.h"
+#include "cluster/shard/sharded_master.h"
 #include "cluster/storage.h"
 
 namespace exist {
@@ -108,7 +108,7 @@ TEST(MasterTest, ReconcileLifecycle)
     cc.cores_per_node = 4;
     Cluster cluster(cc);
     cluster.deploy("Cache", 3);
-    Master master(&cluster);
+    ShardedMaster master(&cluster);
 
     std::uint64_t id = master.apply(
         "app=Cache anomaly=true period_ms=60");
@@ -135,7 +135,7 @@ TEST(MasterTest, ReconcileLifecycle)
 TEST(MasterTest, UndeployedAppFails)
 {
     Cluster cluster(ClusterConfig{.num_nodes = 2});
-    Master master(&cluster);
+    ShardedMaster master(&cluster);
     std::uint64_t id = master.apply("app=NotThere");
     // Parsing accepts it (the app name is opaque until reconcile).
     master.reconcile();
@@ -147,7 +147,7 @@ TEST(MasterTest, FootprintScalesSubLinearly)
 {
     Cluster small(ClusterConfig{.num_nodes = 10});
     Cluster big(ClusterConfig{.num_nodes = 1000});
-    Master m1(&small), m2(&big);
+    ShardedMaster m1(&small, {}, 1), m2(&big, {}, 1);
     auto f1 = m1.managementFootprint();
     auto f2 = m2.managementFootprint();
     EXPECT_LT(f1.cores, 0.005);  // paper: <3e-3 cores at ten nodes
@@ -164,7 +164,7 @@ TEST(MasterTest, PersonalizedOptionsAreHonored)
     cc.cores_per_node = 4;
     Cluster cluster(cc);
     cluster.deploy("Search2", 2);  // CPU-share profile
-    Master master(&cluster);
+    ShardedMaster master(&cluster);
     std::uint64_t id = master.apply(
         "app=Search2 anomaly=true period_ms=60 ring=true "
         "core_sample_ratio=0.5 budget_mb=64");
@@ -186,7 +186,7 @@ TEST(MasterTest, RepeatedReconcileIsIdempotent)
     cc.cores_per_node = 4;
     Cluster cluster(cc);
     cluster.deploy("Cache", 2);
-    Master master(&cluster);
+    ShardedMaster master(&cluster);
     std::uint64_t id =
         master.apply("app=Cache anomaly=true period_ms=50");
     master.reconcile();

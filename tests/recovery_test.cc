@@ -30,7 +30,7 @@
 
 #include "cluster/control_journal.h"
 #include "cluster/crd.h"
-#include "cluster/master.h"
+#include "cluster/shard/plan.h"
 #include "cluster/shard/sharded_master.h"
 #include "durability/crash_point.h"
 #include "durability/journal.h"
@@ -383,7 +383,7 @@ TEST(CrashPointTest, NamedCountAndStepArming)
 // ---------------------------------------------------------------
 
 struct RunConfig {
-    int shards = 1;  ///< 0 = the serial Master
+    int shards = 1;  ///< 0 = a legacy log; recovers as one shard
     bool streaming = false;
     bool net = false;
     std::uint64_t snapshot_interval = 0;  ///< 0 = never snapshot
@@ -453,9 +453,8 @@ struct Artifacts {
     CoverageLedger ledger;
 };
 
-template <typename MasterT>
 Artifacts
-captureArtifacts(MasterT &master)
+captureArtifacts(ShardedMaster &master)
 {
     Artifacts a;
     for (std::uint64_t id = 1; id <= kRequests; ++id) {
@@ -497,9 +496,8 @@ expectArtifactsEqual(const Artifacts &got, const Artifacts &want)
     EXPECT_TRUE(got.ledger == want.ledger);
 }
 
-template <typename MasterT>
 Artifacts
-driveToCompletion(MasterT &master,
+driveToCompletion(ShardedMaster &master,
                   const std::vector<std::string> &manifests)
 {
     for (const std::string &m : manifests)
@@ -514,22 +512,20 @@ golden(const RunConfig &cfg)
 {
     Cluster cluster(smallConfig());
     cluster.deploy(kApp, kReplicas);
-    std::vector<std::string> ms = demoManifests(cfg);
-    if (cfg.shards == 0) {
-        Master master(&cluster, {}, 1);
-        return driveToCompletion(master, ms);
-    }
     ShardedMaster master(&cluster, {}, cfg.shards, 1);
-    return driveToCompletion(master, ms);
+    return driveToCompletion(master, demoManifests(cfg));
 }
 
 /** Run journaled to completion (threads=1 so an armed crash unwinds
  *  here); returns true if the armed crash fired. */
-template <typename MasterT>
 bool
-runJournaled(MasterT &master, Journal &journal,
-             const std::vector<std::string> &manifests)
+journaledRun(const RunConfig &cfg, const fs::path &dir)
 {
+    Cluster cluster(smallConfig());
+    cluster.deploy(kApp, kReplicas);
+    Journal journal(specFor(cfg, dir), metaFor(cfg));
+    ShardedMaster master(&cluster, {}, cfg.shards, 1);
+    std::vector<std::string> manifests = demoManifests(cfg);
     master.attachJournal(&journal);
     try {
         for (const std::string &m : manifests)
@@ -541,21 +537,6 @@ runJournaled(MasterT &master, Journal &journal,
         return true;
     }
     return false;
-}
-
-bool
-journaledRun(const RunConfig &cfg, const fs::path &dir)
-{
-    Cluster cluster(smallConfig());
-    cluster.deploy(kApp, kReplicas);
-    Journal journal(specFor(cfg, dir), metaFor(cfg));
-    std::vector<std::string> ms = demoManifests(cfg);
-    if (cfg.shards == 0) {
-        Master master(&cluster, {}, 1);
-        return runJournaled(master, journal, ms);
-    }
-    ShardedMaster master(&cluster, {}, cfg.shards, 1);
-    return runJournaled(master, journal, ms);
 }
 
 /** Recover `dir`, finish the run (client-retrying admissions the WAL
@@ -587,22 +568,15 @@ recoverAndFinish(const RunConfig &cfg, const fs::path &dir)
             static_cast<std::ptrdiff_t>(st.dump.next_id - 1),
         ms.end());
 
-    auto finish = [&](auto &master) {
-        master.restoreForRecovery(st.dump);
-        master.attachJournal(&journal);
-        for (const std::string &m : missing)
-            master.apply(m);
-        master.reconcile();
-        journal.maybeSnapshot(
-            [&master] { return master.dumpState(); });
-        return captureArtifacts(master);
-    };
-    if (st.meta.shards == 0) {
-        Master master(&cluster, {}, 1);
-        return finish(master);
-    }
-    ShardedMaster master(&cluster, {}, st.meta.shards, 1);
-    return finish(master);
+    // A legacy log (meta.shards == 0) recovers as one shard.
+    ShardedMaster master(&cluster, {}, std::max(st.meta.shards, 1), 1);
+    master.restoreForRecovery(st.dump);
+    master.attachJournal(&journal);
+    for (const std::string &m : missing)
+        master.apply(m);
+    master.reconcile();
+    journal.maybeSnapshot([&master] { return master.dumpState(); });
+    return captureArtifacts(master);
 }
 
 void
@@ -684,8 +658,9 @@ TEST(RecoveryMatrixTest, EveryNamedPointShardedStreamingNet)
 
 TEST(RecoveryMatrixTest, SerialMasterCrashRecover)
 {
-    // meta.shards == 0: recovery rebuilds the serial Master.
-    RunConfig cfg{/*shards=*/0, false, true, 0};
+    // The reference control plane — one shard, one thread — crashed
+    // mid-collection and mid-publish.
+    RunConfig cfg{/*shards=*/1, false, true, 0};
     Artifacts want = golden(cfg);
     crashRecoverCompare(cfg, "pre-store:2", want, "serial");
     crashRecoverCompare(cfg, "ingest-frame:2", want, "serial2");
@@ -719,7 +694,7 @@ TEST(RecoveryTest, JournaledRunMatchesUnjournaledByteForByte)
 {
     // WAL on vs off: journaling is pure observation. Also pins that
     // a crash-free journaled run leaves a replayable log behind.
-    for (int shards : {0, 2}) {
+    for (int shards : {1, 2}) {
         SCOPED_TRACE("shards=" + std::to_string(shards));
         RunConfig cfg{shards, false, false, /*snapshot_interval=*/2};
         Artifacts want = golden(cfg);
@@ -728,21 +703,10 @@ TEST(RecoveryTest, JournaledRunMatchesUnjournaledByteForByte)
         Cluster cluster(smallConfig());
         cluster.deploy(kApp, kReplicas);
         Journal journal(specFor(cfg, dir), metaFor(cfg));
-        std::vector<std::string> ms = demoManifests(cfg);
-        Artifacts got;
-        if (shards == 0) {
-            Master master(&cluster, {}, 1);
-            master.attachJournal(&journal);
-            got = driveToCompletion(master, ms);
-            journal.maybeSnapshot(
-                [&master] { return master.dumpState(); });
-        } else {
-            ShardedMaster master(&cluster, {}, shards, 1);
-            master.attachJournal(&journal);
-            got = driveToCompletion(master, ms);
-            journal.maybeSnapshot(
-                [&master] { return master.dumpState(); });
-        }
+        ShardedMaster master(&cluster, {}, shards, 1);
+        master.attachJournal(&journal);
+        Artifacts got = driveToCompletion(master, demoManifests(cfg));
+        journal.maybeSnapshot([&master] { return master.dumpState(); });
         expectArtifactsEqual(got, want);
 
         // The log it left is itself recoverable, with nothing
@@ -756,6 +720,51 @@ TEST(RecoveryTest, JournaledRunMatchesUnjournaledByteForByte)
             EXPECT_EQ(req.phase, RequestPhase::kCompleted);
         fs::remove_all(dir);
     }
+}
+
+TEST(RecoveryTest, LegacyShardsZeroWalRecoversAsOneShard)
+{
+    // A log written by the retired serial controller: meta.shards == 0,
+    // then its record order — every admission, then every plan, and a
+    // crash before the first publish. Recovery must rebuild it as one
+    // shard and finish it byte-identically to a crash-free run.
+    RunConfig legacy{/*shards=*/0, false, false, /*snapshot_interval=*/2};
+    RunConfig reference{/*shards=*/1, false, false, 0};
+    fs::path dir = freshDir("legacy");
+    {
+        Wal wal(Wal::Config{dir.string()});
+        WalRecord meta;
+        meta.type = RecordType::kMeta;
+        meta.meta = metaFor(legacy);
+        wal.append(meta);
+        std::vector<std::string> ms = demoManifests(legacy);
+        for (std::uint64_t id = 1; id <= kRequests; ++id)
+            wal.append(admitRecord(
+                id, TraceRequest::parse(ms[id - 1]).toManifest()));
+        for (std::uint64_t id = 1; id <= kRequests; ++id) {
+            WalRecord plan;
+            plan.type = RecordType::kPlan;
+            plan.request_id = id;
+            plan.plan_seed = requestPlanSeed(smallConfig().seed, id);
+            plan.outcome =
+                static_cast<std::uint8_t>(RequestPhase::kRunning);
+            wal.append(plan);
+        }
+    }
+
+    Artifacts got = recoverAndFinish(legacy, dir);
+    expectArtifactsEqual(got, golden(reference));
+
+    // The stored meta is not rewritten: the snapshot the finished run
+    // took carries shards == 0 and still matches its log.
+    RecoveryResult rec = recover(dir.string());
+    ASSERT_TRUE(rec.ok) << rec.error;
+    EXPECT_EQ(rec.state.meta.shards, 0);
+    EXPECT_TRUE(rec.state.telemetry.snapshot_used);
+    EXPECT_EQ(rec.state.telemetry.pending_requests, 0u);
+    for (const auto &[id, req] : rec.state.dump.requests)
+        EXPECT_EQ(req.phase, RequestPhase::kCompleted);
+    fs::remove_all(dir);
 }
 
 TEST(RecoveryTest, SnapshotBoundsReplayNotRunLength)

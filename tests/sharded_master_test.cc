@@ -1,12 +1,12 @@
 /**
  * @file
  * Sharded control-plane tests: the headline determinism guarantee
- * (ShardedMaster reports are bit-identical to the serial Master for
- * any shard count × submit order), byte-identical multi-session
- * reports when a request's node sessions fan out across the reconcile
- * pool, commit-log ordering, and TSan-targeted stress of concurrent
- * submits, striped stores and the lock-striped metrics registry (runs
- * in the `concurrency` suite).
+ * (ShardedMaster reports are bit-identical to the one-shard, one-thread
+ * reference for any shard count × submit order), byte-identical
+ * multi-session reports when a request's node sessions fan out across
+ * the reconcile pool, commit-log ordering, and TSan-targeted stress of
+ * concurrent submits, striped stores and the lock-striped metrics
+ * registry (runs in the `concurrency` suite).
  */
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "cluster/control_journal.h"
-#include "cluster/master.h"
 #include "cluster/metrics.h"
 #include "cluster/shard/commit_log.h"
 #include "cluster/shard/plan.h"
@@ -89,8 +88,9 @@ sortedRows(std::vector<const TraceRow *> rows)
     return out;
 }
 
-/** Run one submit stream through a serial Master and a ShardedMaster
- *  with `shards` shards and compare every observable artifact. */
+/** Run one submit stream through the reference ShardedMaster (one
+ *  shard, one thread: every lane and session inline) and one with
+ *  `shards` shards, and compare every observable artifact. */
 void
 compareSerialVsSharded(const std::vector<std::string> &manifests,
                        int shards)
@@ -99,7 +99,8 @@ compareSerialVsSharded(const std::vector<std::string> &manifests,
 
     Cluster serial_cluster(smallConfig());
     deployDemo(serial_cluster);
-    Master serial(&serial_cluster, {}, 1);
+    metrics::Registry serial_registry;
+    ShardedMaster serial(&serial_cluster, {}, 1, 1, &serial_registry);
 
     Cluster sharded_cluster(smallConfig());
     deployDemo(sharded_cluster);
@@ -170,7 +171,7 @@ TEST(ShardedMasterTest, BitIdenticalUnderInterleavedSubmitOrders)
 {
     // Same request set, different interleavings: each order forms its
     // own id stream; within an order, every shard count must agree
-    // with the serial Master fed that same order.
+    // with the one-shard reference fed that same order.
     std::vector<std::string> reversed = demoManifests();
     std::reverse(reversed.begin(), reversed.end());
     std::vector<std::string> rotated = demoManifests();
@@ -228,13 +229,13 @@ TEST(ShardedMasterTest, FootprintSumsPerShardAndPoolThreads)
     metrics::Registry registry;
     ShardedMaster m2(&cluster, {}, 2, 2, &registry);
     ShardedMaster m8(&cluster, {}, 8, 2, &registry);
-    Master serial(&cluster, {}, 2);
+    ShardedMaster m1(&cluster, {}, 1, 2, &registry);
 
     auto f2 = m2.managementFootprint();
     auto f8 = m8.managementFootprint();
-    auto fs = serial.managementFootprint();
+    auto fs = m1.managementFootprint();
     // Sharding adds per-shard overhead, never reduces the total below
-    // the serial plane's state.
+    // the one-shard plane's state.
     EXPECT_GT(f8.memory_mb, f2.memory_mb);
     EXPECT_GE(f2.memory_mb, fs.memory_mb);
     // Still per-mille territory on a small cluster.
@@ -245,8 +246,9 @@ TEST(ShardedMasterTest, FootprintScalesWithThreads)
 {
     // Satellite fix: the footprint must depend on the pool width.
     Cluster cluster(smallConfig());
-    Master narrow(&cluster, {}, 2);
-    Master wide(&cluster, {}, 16);
+    metrics::Registry registry;
+    ShardedMaster narrow(&cluster, {}, 1, 2, &registry);
+    ShardedMaster wide(&cluster, {}, 1, 16, &registry);
     EXPECT_GT(wide.managementFootprint().memory_mb,
               narrow.managementFootprint().memory_mb);
     EXPECT_GT(wide.managementFootprint().cores,

@@ -10,7 +10,8 @@ run-over-run.
 Sets:
     decode   decode_throughput + decode_latency
              + micro_bench (TNT-memo sweep)      -> BENCH_decode.json
-    cluster  reconcile_throughput                -> BENCH_cluster.json
+    cluster  reconcile_throughput (1/2/4/8 shards
+             against the one-shard reference)    -> BENCH_cluster.json
     net      collect_throughput                  -> BENCH_net.json
     durability  recovery_time                    -> BENCH_durability.json
     observability  selftrace_overhead            -> BENCH_observability.json
@@ -26,7 +27,8 @@ Usage:
 Only the standard library is used. Exit status is non-zero if a bench
 binary is missing, fails, emits no JSON lines or a malformed one, the
 aggregate cannot be written, or any configuration diverged from its
-serial reference.
+reference (decode: the one-thread decode; cluster: the one-shard,
+one-thread control plane).
 """
 
 import argparse
@@ -179,14 +181,14 @@ def summarize(records):
             "all_identical": all(r.get("identical") for r in lat),
         }
     rec = [r for r in records
-           if r.get("bench") == "reconcile_throughput"
-           and r.get("mode") == "sharded"]
+           if r.get("bench") == "reconcile_throughput"]
     if rec:
         best = max(rec, key=lambda r: r.get("requests_per_sec", 0.0))
         summary["reconcile_throughput"] = {
             "best_requests_per_sec": best.get("requests_per_sec"),
             "best_shards": best.get("shards"),
-            "best_speedup_vs_serial": best.get("speedup"),
+            # Against the sweep's one-shard, one-thread reference row.
+            "best_speedup_vs_one_shard": best.get("speedup"),
             "p99_latency_us_at_best": best.get("p99_latency_us"),
             "all_identical": all(r.get("identical") for r in rec),
         }

@@ -38,8 +38,9 @@
  *   existctl cluster <manifest>... [--threads N]
  *       Stand up a demo ten-node cluster with the cloud applications
  *       deployed, apply each TraceRequest manifest (e.g.
- *       "app=Search1 anomaly=true period_ms=200"), reconcile, and
- *       print the merged reports.
+ *       "app=Search1 anomaly=true period_ms=200"), reconcile them
+ *       side by side across the default shard count, and print the
+ *       merged reports.
  *
  *   existctl metrics [<manifest>...] [--shards N] [--threads N]
  *       Dump the process-global control-plane metrics registry as one
@@ -49,9 +50,9 @@
  *
  *   existctl trace <app> --wal DIR [--snapshot-interval K]
  *                        [--crash-at P] [--shards N] ...
- *       Durability mode (DESIGN.md §12): the control plane (serial
- *       without --shards, sharded with) journals every mutation into
- *       DIR's write-ahead log and snapshots every K publishes.
+ *       Durability mode (DESIGN.md §12): the control plane (one shard
+ *       without --shards) journals every mutation into DIR's
+ *       write-ahead log and snapshots every K publishes.
  *       --crash-at arms a named crash point ("admit", "post-plan",
  *       "ingest-frame", "pre-store", "mid-snapshot", "post-snapshot",
  *       optionally ":n" for the nth crossing, or "step:N") — the
@@ -86,6 +87,7 @@
  * bit-identical at any thread or shard count — they only change wall
  * time.
  */
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -97,7 +99,6 @@
 #include "analysis/report.h"
 #include "analysis/testbed.h"
 #include "cluster/collection.h"
-#include "cluster/master.h"
 #include "cluster/metrics.h"
 #include "cluster/shard/sharded_master.h"
 #include "core/exist_backend.h"
@@ -164,9 +165,8 @@ cmdListApps()
 
 /** Print one reconciled request deterministically (stdout must stay
  *  byte-comparable across shard/thread counts). */
-template <typename MasterT>
 void
-printReports(MasterT &master, const std::vector<std::uint64_t> &ids)
+printReports(ShardedMaster &master, const std::vector<std::uint64_t> &ids)
 {
     for (std::uint64_t id : ids) {
         const TraceRequest *req = master.request(id);
@@ -259,26 +259,8 @@ traceSharded(const std::string &app, double period_ms,
     return 0;
 }
 
-/** Shared tail of the WAL-journaled trace: submit everything first
- *  (all admissions durable before any reconcile-time crash point),
- *  reconcile once, snapshot if due, print. */
-template <typename MasterT>
-int
-runWalTrace(MasterT &master, durability::Journal &journal,
-            const std::string &manifest, int nrequests)
-{
-    master.attachJournal(&journal);
-    std::vector<std::uint64_t> ids;
-    for (int i = 0; i < nrequests; ++i)
-        ids.push_back(master.apply(manifest));
-    master.reconcile();
-    journal.maybeSnapshot([&master] { return master.dumpState(); });
-    printReports(master, ids);
-    return 0;
-}
-
 /** `trace --wal DIR`: the demo deployment reconciled under the
- *  durability journal (shards == 0 => the serial Master). stdout is
+ *  durability journal (shards == 0 => one shard). stdout is
  *  byte-identical to the same run without --wal. */
 int
 traceWal(const std::string &app, double period_ms,
@@ -292,6 +274,7 @@ traceWal(const std::string &app, double period_ms,
     cc.cores_per_node = 4;
     Cluster cluster(cc);
     cluster.deploy(app, 3);
+    shards = std::max(shards, 1);
 
     durability::ClusterMeta meta;
     meta.cluster_seed = cc.seed;
@@ -331,12 +314,17 @@ traceWal(const std::string &app, double period_ms,
     if (!crash_at.empty())
         durability::crashpoint::arm(crash_at);
 
-    if (shards == 0) {
-        Master master(&cluster, {}, threads);
-        return runWalTrace(master, journal, manifest, 4);
-    }
+    // Submit everything first (all admissions durable before any
+    // reconcile-time crash point), reconcile once, snapshot if due.
     ShardedMaster master(&cluster, {}, shards, threads);
-    return runWalTrace(master, journal, manifest, 4);
+    master.attachJournal(&journal);
+    std::vector<std::uint64_t> ids;
+    for (int i = 0; i < 4; ++i)
+        ids.push_back(master.apply(manifest));
+    master.reconcile();
+    journal.maybeSnapshot([&master] { return master.dumpState(); });
+    printReports(master, ids);
+    return 0;
 }
 
 /** `recover DIR`: rebuild the control plane the WAL describes and
@@ -391,21 +379,15 @@ cmdRecover(int argc, char **argv)
     for (const auto &[id, req] : st.dump.requests)
         ids.push_back(id);
 
-    if (st.meta.shards == 0) {
-        Master master(&cluster, {}, threads);
-        master.restoreForRecovery(st.dump);
-        master.attachJournal(&journal);
-        master.reconcile();
-        journal.maybeSnapshot([&master] { return master.dumpState(); });
-        printReports(master, ids);
-    } else {
-        ShardedMaster master(&cluster, {}, st.meta.shards, threads);
-        master.restoreForRecovery(st.dump);
-        master.attachJournal(&journal);
-        master.reconcile();
-        journal.maybeSnapshot([&master] { return master.dumpState(); });
-        printReports(master, ids);
-    }
+    // A legacy log (meta.shards == 0) recovers as one shard; the
+    // stored meta stays as written, so its snapshots still match.
+    ShardedMaster master(&cluster, {}, std::max(st.meta.shards, 1),
+                         threads);
+    master.restoreForRecovery(st.dump);
+    master.attachJournal(&journal);
+    master.reconcile();
+    journal.maybeSnapshot([&master] { return master.dumpState(); });
+    printReports(master, ids);
     return 0;
 }
 
@@ -574,6 +556,33 @@ cmdTrace(int argc, char **argv)
     return 0;
 }
 
+/** Reconcile `manifests` on the demo cluster through a ShardedMaster
+ *  recording into the global registry: `cluster` prints the reports,
+ *  metrics/top/dump-flight share it to put live traffic behind their
+ *  views. Returns the shard count actually used. */
+int
+reconcileDemoManifests(const std::vector<const char *> &manifests,
+                       int shards, int threads, bool print = false)
+{
+    ClusterConfig cc;
+    cc.num_nodes = 10;
+    cc.cores_per_node = 6;
+    Cluster cluster(cc);
+    cluster.deploy("Search1", 8);
+    cluster.deploy("Search2", 6);
+    cluster.deploy("Cache", 6);
+    cluster.deploy("Pred", 4);
+    cluster.deploy("Agent", 10);
+    ShardedMaster master(&cluster, {}, shards, threads);
+    std::vector<std::uint64_t> ids;
+    for (const char *manifest : manifests)
+        ids.push_back(master.apply(manifest));
+    master.reconcile();
+    if (print)
+        printReports(master, ids);
+    return master.shardCount();
+}
+
 int
 cmdCluster(int argc, char **argv)
 {
@@ -592,48 +601,8 @@ cmdCluster(int argc, char **argv)
     }
     if (manifests.empty())
         return usage();
-
-    ClusterConfig cc;
-    cc.num_nodes = 10;
-    cc.cores_per_node = 6;
-    Cluster cluster(cc);
-    cluster.deploy("Search1", 8);
-    cluster.deploy("Search2", 6);
-    cluster.deploy("Cache", 6);
-    cluster.deploy("Pred", 4);
-    cluster.deploy("Agent", 10);
-    Master master(&cluster, {}, threads);
-
-    std::vector<std::uint64_t> ids;
-    for (const char *manifest : manifests)
-        ids.push_back(master.apply(manifest));
-    master.reconcile();
-    printReports(master, ids);
+    reconcileDemoManifests(manifests, 0, threads, /*print=*/true);
     return 0;
-}
-
-/** Reconcile `manifests` on the demo cluster through a ShardedMaster
- *  recording into the global registry (metrics/top/dump-flight share
- *  this to put live traffic behind their views). Returns the shard
- *  count actually used. */
-int
-reconcileDemoManifests(const std::vector<const char *> &manifests,
-                       int shards, int threads)
-{
-    ClusterConfig cc;
-    cc.num_nodes = 10;
-    cc.cores_per_node = 6;
-    Cluster cluster(cc);
-    cluster.deploy("Search1", 8);
-    cluster.deploy("Search2", 6);
-    cluster.deploy("Cache", 6);
-    cluster.deploy("Pred", 4);
-    cluster.deploy("Agent", 10);
-    ShardedMaster master(&cluster, {}, shards, threads);
-    for (const char *manifest : manifests)
-        master.apply(manifest);
-    master.reconcile();
-    return master.shardCount();
 }
 
 int
