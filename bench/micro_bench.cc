@@ -199,19 +199,67 @@ BM_TntMemoDecode(benchmark::State &state)
 }
 BENCHMARK(BM_TntMemoDecode)->Arg(0)->Arg(1)->Arg(4)->Arg(5)->Arg(6)->Arg(8)->Arg(16);
 
+/**
+ * Kernel-shaped event load: four cores that each reschedule their next
+ * slice from inside the firing event (Kernel::scheduleRun), over a
+ * dozen far timers that stay pending (tracing-period and interrupt
+ * timers). Arg 0 schedules typed records, as the kernel's slices do;
+ * arg 1 schedules std::function callbacks, as timers and the fabric do.
+ */
+class SliceLoad
+{
+  public:
+    static constexpr int kCores = 4;
+    static constexpr int kFarTimers = 12;
+
+    explicit SliceLoad(bool typed) : typed_(typed)
+    {
+        for (int i = 0; i < kFarTimers; ++i)
+            q_.schedule(Cycles{1} << 50 | static_cast<Cycles>(i), [] {});
+        for (int c = 0; c < kCores; ++c)
+            reschedule(static_cast<std::uint64_t>(c));
+    }
+
+    EventQueue &queue() { return q_; }
+    std::uint64_t slices() const { return slices_; }
+
+  private:
+    void
+    runSlice(std::uint64_t core)
+    {
+        ++slices_;
+        reschedule(core);
+    }
+
+    void
+    reschedule(std::uint64_t core)
+    {
+        const Cycles when = q_.now() + 2000 + 37 * core;
+        if (typed_) {
+            q_.schedule(when, [](void *load, std::uint64_t c) {
+                static_cast<SliceLoad *>(load)->runSlice(c);
+            }, this, core);
+        } else {
+            q_.schedule(when, [this, core] { runSlice(core); });
+        }
+    }
+
+    EventQueue q_;
+    bool typed_;
+    std::uint64_t slices_ = 0;
+};
+
 void
 BM_EventQueue(benchmark::State &state)
 {
-    EventQueue q;
-    int depth = 0;
-    for (auto _ : state) {
-        q.scheduleAfter(10, [&depth] { ++depth; });
-        q.step();
-    }
-    benchmark::DoNotOptimize(depth);
+    SliceLoad load(state.range(0) == 0);
+    for (auto _ : state)
+        load.queue().step();
+    benchmark::DoNotOptimize(load.slices());
+    state.SetLabel(state.range(0) == 0 ? "typed" : "callback");
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_EventQueue);
+BENCHMARK(BM_EventQueue)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace exist

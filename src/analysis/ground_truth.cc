@@ -16,6 +16,8 @@ GroundTruthRecorder::arm(Kernel &kernel, ProcessId pid, bool record_paths)
     function_insns_.clear();
     function_entries_.clear();
     per_thread_.clear();
+    cached_tid_ = kInvalidId;
+    cached_count_ = nullptr;
     kernel.setBranchObserver(this);
 }
 
@@ -40,7 +42,11 @@ GroundTruthRecorder::onBranch(CoreId core, const Thread &t,
     ++total_branches_;
     total_insns_ += b.insns;
     ++per_core_[static_cast<std::size_t>(core)];
-    ++per_thread_[t.tid()];
+    if (t.tid() != cached_tid_) {
+        cached_tid_ = t.tid();
+        cached_count_ = &per_thread_[cached_tid_];
+    }
+    ++*cached_count_;
     function_insns_[b.function_id] += b.insns;
     if (prog.function(b.function_id).entry_block == rec.source_block)
         ++function_entries_[b.function_id];

@@ -21,6 +21,12 @@ namespace exist {
 class GroundTruthRecorder final : public BranchObserver
 {
   public:
+    GroundTruthRecorder() = default;
+    // Holds a pointer into its own map; registered with the kernel by
+    // address.
+    GroundTruthRecorder(const GroundTruthRecorder &) = delete;
+    GroundTruthRecorder &operator=(const GroundTruthRecorder &) = delete;
+
     /** Start recording branches of `pid` on `kernel`. */
     void arm(Kernel &kernel, ProcessId pid, bool record_paths = false);
 
@@ -66,6 +72,10 @@ class GroundTruthRecorder final : public BranchObserver
     std::vector<std::uint64_t> function_entries_;
     std::vector<std::vector<std::uint32_t>> paths_;
     std::map<ThreadId, std::uint64_t> per_thread_;
+    /** per_thread_ entry of the last thread seen (map nodes are
+     *  stable): consecutive branches mostly come from one thread. */
+    ThreadId cached_tid_ = kInvalidId;
+    std::uint64_t *cached_count_ = nullptr;
 };
 
 }  // namespace exist

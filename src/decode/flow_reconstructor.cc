@@ -593,6 +593,9 @@ void
 FlowStream::append(const std::uint8_t *data, std::size_t n)
 {
     EXIST_ASSERT(!finished_, "append to a finished FlowStream");
+    // Past the branch budget pump() parses nothing more: keep nothing.
+    if (budget_exhausted_)
+        return;
     // Streaming feeds chunks of similar size (ToPA regions), so the
     // current chunk is the best available hint for what follows:
     // reserve ahead of the insert — doubling, never exact-fit, to keep
@@ -602,10 +605,10 @@ FlowStream::append(const std::uint8_t *data, std::size_t n)
     const std::size_t need = buf_.size() + n;
     if (buf_.capacity() < need)
         buf_.reserve(std::max(need, 2 * buf_.capacity()));
-    if (!out_.segments.empty() && !buf_.empty()) {
+    const std::size_t seen = parser_.dropped() + buf_.size();
+    if (!out_.segments.empty() && seen != 0) {
         const std::size_t projected =
-            out_.segments.size() +
-            (out_.segments.size() * n) / buf_.size() + 1;
+            out_.segments.size() + (out_.segments.size() * n) / seen + 1;
         if (out_.segments.capacity() < projected)
             out_.segments.reserve(
                 std::max(projected, 2 * out_.segments.capacity()));
@@ -613,6 +616,11 @@ FlowStream::append(const std::uint8_t *data, std::size_t n)
     buf_.insert(buf_.end(), data, data + n);
     MemoLoan loan(*this);
     pump(buf_.data(), buf_.size(), /*final=*/false);
+    // Only a packet cut off by the chunk boundary is left unparsed;
+    // everything before it is decoded and need not be kept.
+    const std::size_t consumed = parser_.dropConsumed();
+    buf_.erase(buf_.begin(),
+               buf_.begin() + static_cast<std::ptrdiff_t>(consumed));
 }
 
 DecodedTrace
@@ -650,7 +658,7 @@ FlowStream::finish()
 DecodedTrace
 FlowStream::finishWith(const std::uint8_t *data, std::size_t n)
 {
-    EXIST_ASSERT(!finished_ && buf_.empty(),
+    EXIST_ASSERT(!finished_ && buf_.empty() && parser_.offset() == 0,
                  "finishWith on a used FlowStream");
     MemoLoan loan(*this);
     pump(data, n, /*final=*/true);

@@ -159,9 +159,6 @@ class FlowStream
 
     bool finished() const { return finished_; }
 
-    /** Bytes accumulated so far via append(). */
-    const std::vector<std::uint8_t> &bytes() const { return buf_; }
-
   private:
     void pump(const std::uint8_t *data, std::size_t size, bool final);
     void openSegment(std::uint64_t offset);
@@ -202,6 +199,8 @@ class FlowStream
      *  pooled memo arrives warm, so the per-stream cache_stats are
      *  deltas against this, summed over loans. */
     TntMemo::Stats memo_stats_base_;
+    /** Appended bytes the parser has not consumed yet (at most one
+     *  packet cut off by a chunk boundary between calls). */
     std::vector<std::uint8_t> buf_;
     PacketParser parser_{nullptr, 0};
     DecodedTrace out_;

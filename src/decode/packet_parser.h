@@ -34,7 +34,8 @@ class PacketParser
   public:
     /** Decompression/progress state, snapshotable so an incremental
      *  consumer can roll back a parse attempt that ran out of bytes
-     *  and retry it once more of the stream has arrived. */
+     *  and retry it once more of the stream has arrived. `pos` is a
+     *  stream offset, so a snapshot survives dropConsumed(). */
     struct State {
         std::size_t pos = 0;
         std::uint64_t last_ip = 0;
@@ -65,6 +66,20 @@ class PacketParser
     }
 
     /**
+     * The caller drops the consumed bytes before the current position
+     * from the front of its buffer (and rebinds before the next parse);
+     * returns their count. offset() and State keep counting from the
+     * stream start.
+     */
+    std::size_t dropConsumed()
+    {
+        const std::size_t n = pos_;
+        base_ += n;
+        pos_ = 0;
+        return n;
+    }
+
+    /**
      * Whether the current buffer end is the true end of the stream
      * (default) or more bytes may still arrive. When not final, a CYC
      * varint that runs off the buffer end is left unconsumed and
@@ -75,17 +90,20 @@ class PacketParser
 
     State state() const
     {
-        return State{pos_, last_ip_, resyncs_, truncated_};
+        return State{offset(), last_ip_, resyncs_, truncated_};
     }
     void setState(const State &s)
     {
-        pos_ = s.pos;
+        pos_ = s.pos - base_;
         last_ip_ = s.last_ip;
         resyncs_ = s.resyncs;
         truncated_ = s.truncated;
     }
 
-    std::size_t offset() const { return pos_; }
+    /** Stream offset of the next unparsed byte. */
+    std::size_t offset() const { return base_ + pos_; }
+    /** Bytes parsed so far that are not in the current buffer. */
+    std::size_t dropped() const { return base_; }
     std::size_t resyncCount() const { return resyncs_; }
     std::size_t truncated() const { return truncated_; }
 
@@ -95,7 +113,8 @@ class PacketParser
 
     const std::uint8_t *data_;
     std::size_t size_;
-    std::size_t pos_ = 0;
+    std::size_t pos_ = 0;   ///< within data_
+    std::size_t base_ = 0;  ///< stream offset of data_[0]
     std::uint64_t last_ip_ = 0;
     std::size_t resyncs_ = 0;
     std::size_t truncated_ = 0;

@@ -139,10 +139,14 @@ Kernel::scheduleRun(CoreId c, Cycles when)
     if (core.run_scheduled)
         return;
     core.run_scheduled = true;
-    queue_.schedule(std::max(when, queue_.now()), [this, c] {
-        cores_[static_cast<std::size_t>(c)].run_scheduled = false;
-        runCore(c);
-    });
+    queue_.schedule(std::max(when, queue_.now()), [](void *kernel,
+                                                     std::uint64_t arg) {
+        // The per-slice event: a typed record, no std::function.
+        auto *k = static_cast<Kernel *>(kernel);
+        const auto core_id = static_cast<CoreId>(arg);
+        k->cores_[static_cast<std::size_t>(core_id)].run_scheduled = false;
+        k->runCore(core_id);
+    }, this, static_cast<std::uint64_t>(c));
 }
 
 void
@@ -320,6 +324,8 @@ Kernel::runCore(CoreId c)
         slice_end = std::min(slice_end, next_ev);
 
     const double cpi = effectiveCpi(core, *t);
+    ExecutionContext &exec = t->exec();
+    TaskCounters &tc = t->counters();
     Cycles cursor = now;
     bool blocked = false;
     double cycle_debt = 0.0;
@@ -328,17 +334,16 @@ Kernel::runCore(CoreId c)
         if (core.pending_interrupt) {
             cursor += core.pending_interrupt;
             core.kernel_cycles += core.pending_interrupt;
-            t->counters().kernel_cycles += core.pending_interrupt;
+            tc.kernel_cycles += core.pending_interrupt;
             core.pending_interrupt = 0;
         }
 
-        StepResult s = t->exec().step();
+        StepResult s = exec.step();
         cycle_debt += static_cast<double>(s.insns) * cpi;
         auto cost = static_cast<Cycles>(cycle_debt);
         cycle_debt -= static_cast<double>(cost);
         cursor += cost;
 
-        TaskCounters &tc = t->counters();
         tc.insns += s.insns;
         tc.user_cycles += cost;
         double kinsn = static_cast<double>(s.insns) / 1000.0;
@@ -352,7 +357,9 @@ Kernel::runCore(CoreId c)
         if (branch_observer_)
             branch_observer_->onBranch(c, *t, s.branch, cursor);
 
-        tracer.onBranch(s.branch, binary, cursor, cr3, true);
+        // Sessions run untraced through their warm-up; skip the call.
+        if (tracer.enabled())
+            tracer.onBranch(s.branch, binary, cursor, cr3, true);
         if (pmi_handler_) {
             int pmis = tracer.takePmis();
             while (pmis-- > 0) {

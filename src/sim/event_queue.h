@@ -2,16 +2,22 @@
  * @file
  * Discrete-event engine for the EXIST node simulation.
  *
- * The queue orders callbacks by (time, insertion sequence), so events
+ * The queue orders events by (time, insertion sequence), so events
  * scheduled for the same cycle fire in FIFO order, which keeps the
  * simulation deterministic.
+ *
+ * Every pending event is one trivially copyable record in a flat 4-ary
+ * heap: a plain handler function plus the context pointer and argument
+ * it is called with. The hot per-slice events (the kernel's core runs)
+ * schedule such typed records directly. A generic std::function
+ * callback parks in a slot table and is scheduled as a typed record
+ * whose handler runs the slot, so there is one queue and one order.
  */
 #ifndef EXIST_SIM_EVENT_QUEUE_H
 #define EXIST_SIM_EVENT_QUEUE_H
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "util/logging.h"
@@ -24,28 +30,26 @@ using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEvent = 0;
 
 /**
- * Time-ordered queue of callbacks. A thin core that higher layers (the
+ * Time-ordered queue of events. A thin core that higher layers (the
  * OS kernel, load generators, the cluster master) schedule against.
  */
 class EventQueue
 {
   public:
     using Callback = std::function<void()>;
+    /** Typed handler: called with the `ctx` and `arg` it was scheduled
+     *  with. A captureless lambda converts to it. */
+    using Handler = void (*)(void *ctx, std::uint64_t arg);
 
     /** Current virtual time. */
     Cycles now() const { return now_; }
 
+    /** Schedule `fn(ctx, arg)` at absolute time `when` (>= now). */
+    EventId schedule(Cycles when, Handler fn, void *ctx,
+                     std::uint64_t arg);
+
     /** Schedule a callback at absolute time `when` (>= now). */
-    EventId
-    schedule(Cycles when, Callback cb)
-    {
-        EXIST_ASSERT(when >= now_, "scheduling into the past: %llu < %llu",
-                     (unsigned long long)when, (unsigned long long)now_);
-        EventId id = ++next_id_;
-        heap_.push(Entry{when, id, std::move(cb)});
-        ++live_;
-        return id;
-    }
+    EventId schedule(Cycles when, Callback cb);
 
     /** Schedule a callback `delay` cycles from now. */
     EventId
@@ -54,19 +58,17 @@ class EventQueue
         return schedule(now_ + delay, std::move(cb));
     }
 
-    /** Cancel an event; a no-op if it has already fired. */
-    void
-    cancel(EventId id)
-    {
-        if (id != kInvalidEvent)
-            cancelled_.push_back(id);
-    }
+    /** Cancel a pending event; a no-op for a fired or unknown id. */
+    void cancel(EventId id);
 
-    /** True when no live events remain. */
-    bool empty() const { return live_ == 0; }
+    /** True when no events are pending. */
+    bool empty() const { return heap_.empty(); }
 
     /** Time of the next pending event (kMaxTime when empty). */
-    Cycles nextTime();
+    Cycles nextTime() const
+    {
+        return heap_.empty() ? kMaxTime : heap_.front().when;
+    }
 
     /** Fire a single event; returns false if the queue is empty. */
     bool step();
@@ -80,26 +82,35 @@ class EventQueue
     static constexpr Cycles kMaxTime = ~Cycles{0};
 
   private:
-    struct Entry {
+    struct Event {
         Cycles when;
         EventId id;
-        Callback cb;
-
-        bool
-        operator>(const Entry &o) const
-        {
-            return when != o.when ? when > o.when : id > o.id;
-        }
+        Handler fn;
+        void *ctx;
+        std::uint64_t arg;
     };
 
-    bool isCancelled(EventId id);
-    void popDead();
+    static bool
+    before(const Event &a, const Event &b)
+    {
+        return a.when != b.when ? a.when < b.when : a.id < b.id;
+    }
 
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-    std::vector<EventId> cancelled_;
+    /** Handler of a slot-table event: runs and frees slot `arg`. */
+    static void runSlot(void *queue, std::uint64_t slot);
+    void releaseSlot(std::uint64_t slot);
+    /** Remove heap_[i], keeping the heap ordered. */
+    void removeAt(std::size_t i);
+    void siftUp(std::size_t i, Event e);
+    void siftDown(std::size_t i, Event e);
+
+    std::vector<Event> heap_;
+    std::vector<Callback> slots_;
+    std::vector<std::uint64_t> free_slots_;
     Cycles now_ = 0;
     EventId next_id_ = kInvalidEvent;
-    std::size_t live_ = 0;
+
+    friend class EventQueueTestPeer;
 };
 
 }  // namespace exist

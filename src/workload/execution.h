@@ -54,7 +54,7 @@ class ExecutionContext
         if (program->profile().phase_insns > 0.0 &&
             program->profile().phase_strength > 0.0) {
             phase_period_ = program->profile().phase_insns;
-            phase_strength_ = program->profile().phase_strength;
+            phase_shift_ = 0.5 * program->profile().phase_strength;
             phase_origin_ = rng_.uniform();  // runs start mid-phase
         }
     }
@@ -71,14 +71,10 @@ class ExecutionContext
 
         std::uint32_t target;
         switch (b.kind) {
-          case BranchKind::kConditional: {
-            double p = static_cast<double>(b.prob_taken_x1e4) * 1e-4;
-            p = std::clamp(p + 0.5 * phase_strength_ * phase(), 0.02,
-                           0.98);
-            rec.taken = rng_.uniform() < p;
+          case BranchKind::kConditional:
+            rec.taken = takeConditional(b);
             target = rec.taken ? b.target0 : b.target1;
             break;
-          }
           case BranchKind::kDirectJump:
             target = b.target0;
             break;
@@ -87,11 +83,11 @@ class ExecutionContext
             target = b.target0;
             break;
           case BranchKind::kIndirectJump:
-            target = prog_->resolveIndirect(b, phasedUniform());
+            target = indirectTarget(b);
             break;
           case BranchKind::kIndirectCall:
             pushReturn(b.target1);
-            target = prog_->resolveIndirect(b, phasedUniform());
+            target = indirectTarget(b);
             break;
           case BranchKind::kReturn:
             if (stack_.empty()) {
@@ -146,14 +142,45 @@ class ExecutionContext
         return std::sin(6.28318530717958647692 * t);
     }
 
-    /** Uniform draw skewed by the phase: shifts which entries of an
-     *  indirect-target table are favoured as phases change. */
-    double
-    phasedUniform()
+    /*
+     * The phase moves a branch by phase_shift_ * phase(), and phase()
+     * lies in [-1, 1]. IEEE +, * and std::clamp are monotone, so the
+     * phased value lies between its values at phase -1 and +1. A draw
+     * outside that band decides the branch without the sine; the RNG
+     * sequence and every outcome match the eager computation.
+     */
+
+    /** Taken with probability clamp(p + shift * phase(), .02, .98). */
+    bool
+    takeConditional(const BasicBlock &b)
     {
-        double u = rng_.uniform() + 0.5 * phase_strength_ * phase();
+        const double p = static_cast<double>(b.prob_taken_x1e4) * 1e-4;
+        const double u = rng_.uniform();
+        if (u < std::clamp(p - phase_shift_, 0.02, 0.98))
+            return true;
+        if (u >= std::clamp(p + phase_shift_, 0.02, 0.98))
+            return false;
+        return u < std::clamp(p + phase_shift_ * phase(), 0.02, 0.98);
+    }
+
+    /** Target table entry chosen by a uniform draw skewed by the phase
+     *  (wrapped into [0, 1)): shifts which entries are favoured as
+     *  phases change. When the band stays inside [0, 1) and both ends
+     *  select one table position, every phase selects it. */
+    std::uint32_t
+    indirectTarget(const BasicBlock &b)
+    {
+        const double r = rng_.uniform();
+        const double lo = r - phase_shift_;
+        const double hi = r + phase_shift_;
+        if (lo >= 0.0 && hi < 1.0) {
+            const std::uint32_t slot = prog_->indirectSlot(b, lo);
+            if (slot == prog_->indirectSlot(b, hi))
+                return prog_->indirectTarget(b, slot);
+        }
+        double u = r + phase_shift_ * phase();
         u -= std::floor(u);
-        return u;
+        return prog_->resolveIndirect(b, u);
     }
 
     void
@@ -172,7 +199,8 @@ class ExecutionContext
     double insns_until_syscall_ = 0.0;
     std::uint64_t insns_total_ = 0;
     double phase_period_ = 0.0;
-    double phase_strength_ = 0.0;
+    /** Largest shift the phase applies: half the profile strength. */
+    double phase_shift_ = 0.0;
     double phase_origin_ = 0.0;
 };
 

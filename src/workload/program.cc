@@ -289,7 +289,7 @@ ProgramBinary::blockAtAddress(std::uint64_t addr) const
 }
 
 std::uint32_t
-ProgramBinary::resolveIndirect(const BasicBlock &b, double u) const
+ProgramBinary::indirectSlot(const BasicBlock &b, double u) const
 {
     EXIST_ASSERT(b.itable_count > 0, "indirect block without targets");
     const auto begin = indirect_targets_.begin() + b.itable_begin;
@@ -301,7 +301,7 @@ ProgramBinary::resolveIndirect(const BasicBlock &b, double u) const
         });
     if (it == end)
         --it;
-    return it->block;
+    return static_cast<std::uint32_t>(it - begin);
 }
 
 }  // namespace exist

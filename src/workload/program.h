@@ -120,7 +120,23 @@ class ProgramBinary
 
     /** Resolve the target of an indirect transfer given a uniform draw
      *  in [0,1). Shared by the execution engine (with RNG) and tests. */
-    std::uint32_t resolveIndirect(const BasicBlock &b, double u) const;
+    std::uint32_t
+    resolveIndirect(const BasicBlock &b, double u) const
+    {
+        return indirectTarget(b, indirectSlot(b, u));
+    }
+
+    /** Position in `b`'s target table that the draw `u` selects: the
+     *  first entry whose cumulative weight reaches u, else the last.
+     *  Non-decreasing in u. */
+    std::uint32_t indirectSlot(const BasicBlock &b, double u) const;
+
+    /** Block at position `slot` of `b`'s target table. */
+    std::uint32_t
+    indirectTarget(const BasicBlock &b, std::uint32_t slot) const
+    {
+        return indirect_targets_[b.itable_begin + slot].block;
+    }
 
   private:
     ProgramBinary() = default;
@@ -133,6 +149,8 @@ class ProgramBinary
     std::uint64_t text_bytes_ = 0;
     // Sorted block start addresses for blockAtAddress.
     std::vector<std::uint64_t> block_addresses_;
+
+    friend class ProgramBinaryTestPeer;
 };
 
 }  // namespace exist

@@ -16,6 +16,9 @@ Sets:
     durability  recovery_time                    -> BENCH_durability.json
     observability  selftrace_overhead            -> BENCH_observability.json
 
+Each aggregate carries a "machine" stamp (core count, CPU model, build
+type, commit) so numbers from different hosts are not compared blind.
+
 micro_bench is a google-benchmark binary, not a "JSON "-line one: it is
 run with --benchmark_format=json filtered to the TNT-memo sweep, and
 its entries are normalized into the same record stream.
@@ -128,6 +131,37 @@ def effective_scale(requested):
     except ValueError:
         value = 1.0
     return value if value > 0.0 else 1.0
+
+
+def machine_stamp(build_dir):
+    """What the numbers were measured on: core count, CPU model, the
+    build type of the bench binaries and the commit they came from."""
+    stamp = {"nproc": os.cpu_count(), "cpu": None, "build_type": None,
+             "commit": None}
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    stamp["cpu"] = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    try:
+        with open(os.path.join(build_dir, "CMakeCache.txt")) as f:
+            for line in f:
+                if line.startswith("CMAKE_BUILD_TYPE:"):
+                    stamp["build_type"] = line.split("=", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    try:
+        proc = subprocess.run(["git", "describe", "--always", "--dirty"],
+                              capture_output=True, text=True, timeout=10)
+        if proc.returncode == 0:
+            stamp["commit"] = proc.stdout.strip()
+    except (OSError, subprocess.TimeoutExpired):
+        pass
+    return stamp
 
 
 def summarize(records):
@@ -295,6 +329,7 @@ def main():
 
     doc = {
         "benches": benches,
+        "machine": machine_stamp(args.build_dir),
         "scale": scale,
         "records": records,
         "summary": summarize(records),
