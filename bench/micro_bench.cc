@@ -2,16 +2,21 @@
  * @file
  * Micro-benchmarks (google-benchmark) of the substrate hot paths: trace
  * packet encoding, packet parsing, flow reconstruction, program
- * execution stepping, and the event queue. These bound the wall-clock
- * cost of the figure harnesses.
+ * execution stepping, the event queue, and the checksum every frame,
+ * WAL record and snapshot image pays. These bound the wall-clock cost
+ * of the figure harnesses and of the pipeline's byte paths.
  */
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "decode/flow_reconstructor.h"
 #include "decode/packet_parser.h"
 #include "hwtrace/packet_writer.h"
 #include "hwtrace/topa.h"
 #include "hwtrace/tracer.h"
+#include "net/wire.h"
 #include "sim/event_queue.h"
 #include "workload/execution.h"
 
@@ -260,6 +265,29 @@ BM_EventQueue(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EventQueue)->Arg(0)->Arg(1);
+
+/**
+ * The one checksum (net::xxh64) over a frame-sized (4 KB), a
+ * WAL-record-sized (64 KB) and a snapshot-sized (5 MB) buffer of
+ * pseudo-random bytes; reports bytes/s.
+ */
+void
+BM_Checksum(benchmark::State &state)
+{
+    std::vector<std::uint8_t> buf(static_cast<std::size_t>(state.range(0)));
+    std::uint64_t x = 0x9E3779B97F4A7C15ULL;
+    for (std::uint8_t &b : buf) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        b = static_cast<std::uint8_t>(x);
+    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(net::xxh64(buf.data(), buf.size()));
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            state.range(0));
+}
+BENCHMARK(BM_Checksum)->Arg(4 << 10)->Arg(64 << 10)->Arg(5 << 20);
 
 }  // namespace
 }  // namespace exist

@@ -33,11 +33,11 @@ main()
     oracle_spec.backend = "Oracle";
     ExperimentResult oracle = Testbed::run(oracle_spec);
 
-    for (const std::string &backend :
+    for (const char *backend :
          {"Oracle", "EXIST", "StaSam", "eBPF", "NHT"}) {
         ExperimentSpec spec = base;
         spec.backend = backend;
-        spec.decode = backend == "EXIST" || backend == "NHT";
+        spec.decode = spec.backend == "EXIST" || spec.backend == "NHT";
         ExperimentResult r = Testbed::run(spec);
         const AppResult &app = r.at("ms");
         double tput =

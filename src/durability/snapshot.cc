@@ -45,22 +45,6 @@ parseSnapshotName(const std::string &name, std::uint64_t *lsn)
     return true;
 }
 
-bool
-readFile(const std::string &path, std::vector<std::uint8_t> *out)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr)
-        return false;
-    out->clear();
-    std::uint8_t buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-        out->insert(out->end(), buf, buf + n);
-    bool ok = std::ferror(f) == 0;
-    std::fclose(f);
-    return ok;
-}
-
 void
 putDump(net::ByteWriter &w, const ControlStateDump &dump)
 {
@@ -214,20 +198,19 @@ bool
 writeSnapshot(const std::string &dir, const SnapshotState &state,
               std::string *error)
 {
-    std::vector<std::uint8_t> body;
-    net::ByteWriter w(&body);
+    // One buffer per image: the body is serialized after reserved
+    // header room, then the header is patched in front of it.
+    std::vector<std::uint8_t> image(kSnapHeaderBytes);
+    net::ByteWriter w(&image);
     putMeta(w, state.meta);
     w.putVarint(state.barrier_lsn);
     putDump(w, state.dump);
     putCursors(w, state.cursors);
-
-    std::vector<std::uint8_t> image;
-    net::ByteWriter hw(&image);
-    hw.putU32(kSnapMagic);
-    hw.putU8(kSnapVersion);
-    hw.putU64(body.size());
-    hw.putU64(net::fnv1a64(body.data(), body.size()));
-    hw.putBytes(body.data(), body.size());
+    std::size_t body_len = image.size() - kSnapHeaderBytes;
+    w.patchU32(0, kSnapMagic);
+    image[4] = kSnapVersion;
+    w.patchU64(5, body_len);
+    w.patchU64(13, net::xxh64(image.data() + kSnapHeaderBytes, body_len));
 
     std::string final_path =
         (fs::path(dir) / snapshotName(state.barrier_lsn)).string();
@@ -297,7 +280,7 @@ loadNewestSnapshot(const std::string &dir)
     for (auto it = snaps.rbegin(); it != snaps.rend(); ++it) {
         const std::string &path = it->second;
         std::vector<std::uint8_t> image;
-        if (!readFile(path, &image)) {
+        if (!readWholeFile(path, &image)) {
             load.error += path + ": unreadable; ";
             continue;
         }
@@ -306,14 +289,19 @@ loadNewestSnapshot(const std::string &dir)
         std::uint8_t version = r.getU8();
         std::uint64_t body_len = r.getU64();
         std::uint64_t sum = r.getU64();
-        if (!r.ok() || magic != kSnapMagic || version != kSnapVersion ||
-            body_len != r.remaining()) {
+        if (r.ok() && magic == kSnapMagic && version != kSnapVersion) {
+            load.error += path + ": format version " +
+                          std::to_string(version) +
+                          ", this build reads version " +
+                          std::to_string(kSnapVersion) + "; ";
+            continue;
+        }
+        if (!r.ok() || magic != kSnapMagic || body_len != r.remaining()) {
             load.error += path + ": bad header; ";
             continue;
         }
         const std::uint8_t *body = r.getBytes(body_len);
-        if (body == nullptr ||
-            net::fnv1a64(body, body_len) != sum) {
+        if (body == nullptr || net::xxh64(body, body_len) != sum) {
             load.error += path + ": checksum mismatch; ";
             continue;
         }

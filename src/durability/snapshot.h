@@ -10,8 +10,12 @@
  * not the experiment length.
  *
  * On-disk format: snap-<%016llx barrier_lsn>.img
- *   u32 magic "EXSN" | u8 version | u64 body_len | u64 fnv1a64(body)
+ *   u32 magic "EXSN" | u8 version | u64 body_len | u64 xxh64(body)
  *   body: meta | barrier_lsn | ControlStateDump | cursors
+ * The image is built in one buffer (body after reserved header room)
+ * and read back in one read. An image of another version is skipped
+ * with its version named in the load error, so a directory holding
+ * only foreign-version images fails recovery ("no valid snapshot").
  *
  * Atomicity: the image is written to `<path>.tmp`, flushed, then
  * renamed — a crash mid-write leaves a `.tmp` recovery ignores. Two
@@ -35,7 +39,9 @@
 namespace exist::durability {
 
 inline constexpr std::uint32_t kSnapMagic = 0x4E535845;  // "EXSN"
-inline constexpr std::uint8_t kSnapVersion = 1;
+inline constexpr std::uint8_t kSnapVersion = 2;
+/** magic + version + body_len + checksum. */
+inline constexpr std::size_t kSnapHeaderBytes = 4 + 1 + 8 + 8;
 
 /** Ingest cursors keyed (request id, node, stream). Empty at the
  *  quiesced barriers the journal snapshots at; carried in the image

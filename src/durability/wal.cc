@@ -45,25 +45,13 @@ parseSegmentName(const std::string &name, std::uint64_t *lsn)
     return true;
 }
 
-bool
-readFile(const std::string &path, std::vector<std::uint8_t> *out)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr)
-        return false;
-    out->clear();
-    std::uint8_t buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-        out->insert(out->end(), buf, buf + n);
-    bool ok = std::ferror(f) == 0;
-    std::fclose(f);
-    return ok;
-}
-
 /** One segment, scanned to its first invalid byte. */
 struct SegmentScan {
     bool header_ok = false;
+    /** Full header with the WAL magic but another format version:
+     *  written by a different build, never a torn tail. */
+    bool foreign_version = false;
+    std::uint8_t version = 0;
     std::uint64_t start_lsn = 0;
     std::vector<WalRecord> records;
     bool clean_end = false;  ///< file ended exactly on a record edge
@@ -75,15 +63,19 @@ scanSegment(const std::string &path)
 {
     SegmentScan scan;
     std::vector<std::uint8_t> data;
-    if (!readFile(path, &data))
+    if (!readWholeFile(path, &data))
         return scan;
     scan.bytes = data.size();
     net::ByteReader r(data.data(), data.size());
     std::uint32_t magic = r.getU32();
-    std::uint8_t version = r.getU8();
+    scan.version = r.getU8();
     std::uint64_t start = r.getU64();
-    if (!r.ok() || magic != kWalMagic || version != kWalVersion)
+    if (!r.ok() || magic != kWalMagic)
         return scan;
+    if (scan.version != kWalVersion) {
+        scan.foreign_version = true;
+        return scan;
+    }
     scan.header_ok = true;
     scan.start_lsn = start;
     for (;;) {
@@ -98,7 +90,7 @@ scanSegment(const std::string &path)
         const std::uint8_t *payload = r.getBytes(len);
         if (payload == nullptr)
             return scan;  // torn tail
-        if (net::fnv1a64(payload, len) != sum)
+        if (net::xxh64(payload, len) != sum)
             return scan;  // bit rot
         WalRecord rec;
         if (!decodeRecord(payload, len, &rec))
@@ -107,7 +99,35 @@ scanSegment(const std::string &path)
     }
 }
 
+std::string
+versionError(const std::string &path, std::uint8_t version)
+{
+    return "WAL segment " + path + " has format version " +
+           std::to_string(version) + "; this build reads version " +
+           std::to_string(kWalVersion);
+}
+
 }  // namespace
+
+bool
+readWholeFile(const std::string &path, std::vector<std::uint8_t> *out)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (f == nullptr)
+        return false;
+    long size = -1;
+    if (std::fseek(f, 0, SEEK_END) == 0) {
+        size = std::ftell(f);
+        std::rewind(f);
+    }
+    bool ok = size >= 0;
+    if (ok) {
+        out->resize(static_cast<std::size_t>(size));
+        ok = std::fread(out->data(), 1, out->size(), f) == out->size();
+    }
+    std::fclose(f);
+    return ok;
+}
 
 const char *
 recordTypeName(RecordType t)
@@ -284,11 +304,9 @@ getEffects(net::ByteReader &r, PublishEffects *out)
     return r.ok();
 }
 
-std::vector<std::uint8_t>
-encodeRecord(const WalRecord &rec)
+void
+encodeRecord(net::ByteWriter &w, const WalRecord &rec)
 {
-    std::vector<std::uint8_t> out;
-    net::ByteWriter w(&out);
     w.putU8(static_cast<std::uint8_t>(rec.type));
     w.putVarint(rec.lsn);
     switch (rec.type) {
@@ -318,7 +336,6 @@ encodeRecord(const WalRecord &rec)
         putEffects(w, rec.effects);
         break;
     }
-    return out;
 }
 
 bool
@@ -385,6 +402,8 @@ Wal::Wal(Config cfg, metrics::Registry *registry)
     if (!segments.empty()) {
         const std::string &last = segments.back();
         SegmentScan scan = scanSegment(last);
+        EXIST_ASSERT(!scan.foreign_version, "wal: %s",
+                     versionError(last, scan.version).c_str());
         if (scan.header_ok) {
             next_lsn_ = scan.start_lsn + scan.records.size();
         } else {
@@ -435,17 +454,19 @@ Wal::append(WalRecord rec)
     // durability tax every control-plane mutation pays.
     EXIST_SPAN("wal.append",
                obs::corrId(rec.lsn, static_cast<std::uint64_t>(rec.type)));
-    std::vector<std::uint8_t> payload = encodeRecord(rec);
-    EXIST_ASSERT(payload.size() <= kMaxRecordBytes,
-                 "wal: oversized record (%zu bytes)", payload.size());
+    // One buffer: the payload is encoded after reserved framing room,
+    // then the length and checksum are patched in front of it.
+    std::vector<std::uint8_t> frame(kRecordHeaderBytes);
+    net::ByteWriter w(&frame);
+    encodeRecord(w, rec);
+    std::size_t len = frame.size() - kRecordHeaderBytes;
+    EXIST_ASSERT(len <= kMaxRecordBytes, "wal: oversized record (%zu bytes)",
+                 len);
     if (file_ == nullptr || segment_payload_ >= cfg_.segment_bytes)
         openSegment();
 
-    std::vector<std::uint8_t> frame;
-    net::ByteWriter w(&frame);
-    w.putU32(static_cast<std::uint32_t>(payload.size()));
-    w.putU64(net::fnv1a64(payload.data(), payload.size()));
-    w.putBytes(payload.data(), payload.size());
+    w.patchU32(0, static_cast<std::uint32_t>(len));
+    w.patchU64(4, net::xxh64(frame.data() + kRecordHeaderBytes, len));
     std::size_t n = std::fwrite(frame.data(), 1, frame.size(), file_);
     EXIST_ASSERT(n == frame.size(), "wal: short record write");
     // Flush before acknowledging: the crash model is process death,
@@ -533,6 +554,10 @@ Wal::replay(const std::string &dir, std::uint64_t from_lsn)
         std::uint64_t name_lsn = 0;
         parseSegmentName(fs::path(segments[i]).filename().string(),
                          &name_lsn);
+        if (scan.foreign_version) {
+            res.error = versionError(segments[i], scan.version);
+            return res;
+        }
         if (!scan.header_ok) {
             // A header-less file is the crash-during-rotation layout —
             // tolerable only as the very tail of the log.

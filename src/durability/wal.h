@@ -25,7 +25,7 @@
  *
  *   segment file  wal-<%016llx start_lsn>.seg
  *     header      u32 magic "EXWL" | u8 version | u64 start_lsn
- *     record*     u32 payload_len | u64 fnv1a64(payload) | payload
+ *     record*     u32 payload_len | u64 xxh64(payload) | payload
  *     payload     u8 type | varint lsn | type-specific body
  *
  * LSNs start at 1 and are contiguous across segments; a segment's
@@ -42,7 +42,11 @@
  *     otherwise records are missing -> hard error;
  *   - a valid record below the expected LSN is a duplicate (segment
  *     copied or re-delivered) and is skipped; above it -> gap ->
- *     hard error. Recovery therefore never silently diverges.
+ *     hard error. Recovery therefore never silently diverges;
+ *   - a full header with the WAL magic and a version other than
+ *     kWalVersion is a hard error naming that version, wherever the
+ *     segment sits, both on replay and when opening for append. Only
+ *     a short or magic-less file is the crash-during-rotation tail.
  */
 #ifndef EXIST_DURABILITY_WAL_H
 #define EXIST_DURABILITY_WAL_H
@@ -62,7 +66,9 @@
 namespace exist::durability {
 
 inline constexpr std::uint32_t kWalMagic = 0x4C575845;  // "EXWL"
-inline constexpr std::uint8_t kWalVersion = 1;
+inline constexpr std::uint8_t kWalVersion = 2;
+/** Record framing: u32 payload length + u64 XXH64 of the payload. */
+inline constexpr std::size_t kRecordHeaderBytes = 4 + 8;
 /** Framing sanity bound; a length prefix past this is corruption. */
 inline constexpr std::uint32_t kMaxRecordBytes = 64u << 20;
 
@@ -123,8 +129,13 @@ bool getRow(net::ByteReader &r, TraceRow *out);
 void putEffects(net::ByteWriter &w, const PublishEffects &fx);
 bool getEffects(net::ByteReader &r, PublishEffects *out);
 
-/** Serialize a record payload (type + lsn + body). */
-std::vector<std::uint8_t> encodeRecord(const WalRecord &rec);
+/** Read a whole log segment or snapshot image: one buffer sized from
+ *  the file length, one read. False if the file cannot be read. */
+bool readWholeFile(const std::string &path,
+                   std::vector<std::uint8_t> *out);
+
+/** Serialize a record payload (type + lsn + body) onto `w`. */
+void encodeRecord(net::ByteWriter &w, const WalRecord &rec);
 /** Parse a record payload; false on any malformation. */
 bool decodeRecord(const std::uint8_t *data, std::size_t size,
                   WalRecord *out);
@@ -142,7 +153,8 @@ class Wal
      * Open `dir` for appending: scans existing segments for the last
      * valid LSN and starts a *new* segment at the next one (never
      * appends after a possibly-torn tail). Creates the directory if
-     * missing. Fatal on an unscannable directory.
+     * missing. Fatal on an unscannable directory or a last segment
+     * of another format version.
      */
     explicit Wal(Config cfg, metrics::Registry *registry = nullptr);
     ~Wal();

@@ -1,24 +1,28 @@
 #include "net/frame.h"
 
+#include <utility>
+
 #include "net/wire.h"
 
 namespace exist::net {
 
 namespace {
 
-/** Wrap a serialized message body in the frame envelope. */
+/**
+ * Fill in the envelope of a frame whose body was serialized after
+ * kFrameHeaderBytes of reserved room: one buffer, no payload copy.
+ */
 std::vector<std::uint8_t>
-seal(MsgType type, const std::vector<std::uint8_t> &payload)
+seal(MsgType type, std::vector<std::uint8_t> out)
 {
-    std::vector<std::uint8_t> out;
-    out.reserve(kFrameHeaderBytes + payload.size());
+    std::size_t length = out.size() - kFrameHeaderBytes;
+    const std::uint8_t *payload = out.data() + kFrameHeaderBytes;
     ByteWriter w(&out);
-    w.putU32(kFrameMagic);
-    w.putU8(kFrameVersion);
-    w.putU8(static_cast<std::uint8_t>(type));
-    w.putU32(static_cast<std::uint32_t>(payload.size()));
-    w.putU64(fnv1a64(payload.data(), payload.size()));
-    w.putBytes(payload.data(), payload.size());
+    w.patchU32(0, kFrameMagic);
+    out[4] = kFrameVersion;
+    out[5] = static_cast<std::uint8_t>(type);
+    w.patchU32(6, static_cast<std::uint32_t>(length));
+    w.patchU64(10, xxh64(payload, length));
     return out;
 }
 
@@ -90,52 +94,52 @@ decodeStatusName(DecodeStatus s)
 std::vector<std::uint8_t>
 encodeFrame(const TraceRegionBatchMsg &msg)
 {
-    std::vector<std::uint8_t> payload;
-    ByteWriter w(&payload);
+    std::vector<std::uint8_t> out(kFrameHeaderBytes);
+    ByteWriter w(&out);
     w.putSVarint(msg.node);
     w.putVarint(msg.stream);
     w.putVarint(msg.batch_seq);
     w.putVarint(msg.total_batches);
     w.putVarint(msg.chunk.size());
     w.putBytes(msg.chunk.data(), msg.chunk.size());
-    return seal(MsgType::kTraceRegionBatch, payload);
+    return seal(MsgType::kTraceRegionBatch, std::move(out));
 }
 
 std::vector<std::uint8_t>
 encodeFrame(const BehaviorReportMsg &msg)
 {
-    std::vector<std::uint8_t> payload;
-    ByteWriter w(&payload);
+    std::vector<std::uint8_t> out(kFrameHeaderBytes);
+    ByteWriter w(&out);
     w.putSVarint(msg.node);
     w.putVarint(msg.stream);
     w.putU8(msg.degraded ? 1 : 0);
     w.putVarint(msg.batches_spilled);
     w.putString(msg.summary);
-    return seal(MsgType::kBehaviorReport, payload);
+    return seal(MsgType::kBehaviorReport, std::move(out));
 }
 
 std::vector<std::uint8_t>
 encodeFrame(const AckMsg &msg)
 {
-    std::vector<std::uint8_t> payload;
-    ByteWriter w(&payload);
+    std::vector<std::uint8_t> out(kFrameHeaderBytes);
+    ByteWriter w(&out);
     w.putSVarint(msg.node);
     w.putVarint(msg.stream);
     w.putVarint(msg.batch_seq);
     w.putVarint(msg.cumulative);
     w.putVarint(msg.window);
-    return seal(MsgType::kAck, payload);
+    return seal(MsgType::kAck, std::move(out));
 }
 
 std::vector<std::uint8_t>
 encodeFrame(const HeartbeatMsg &msg)
 {
-    std::vector<std::uint8_t> payload;
-    ByteWriter w(&payload);
+    std::vector<std::uint8_t> out(kFrameHeaderBytes);
+    ByteWriter w(&out);
     w.putSVarint(msg.node);
     w.putVarint(msg.seq);
     w.putVarint(msg.queue_depth);
-    return seal(MsgType::kHeartbeat, payload);
+    return seal(MsgType::kHeartbeat, std::move(out));
 }
 
 DecodeStatus
@@ -158,7 +162,7 @@ decodeFrame(const std::uint8_t *data, std::size_t size, Frame *frame,
     if (size - kFrameHeaderBytes < length)
         return DecodeStatus::kTruncated;
     const std::uint8_t *payload = data + kFrameHeaderBytes;
-    if (fnv1a64(payload, length) != check)
+    if (xxh64(payload, length) != check)
         return DecodeStatus::kBadChecksum;
 
     ByteReader body(payload, length);

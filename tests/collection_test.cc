@@ -292,8 +292,9 @@ TEST(CollectionAcceptance, TestbedResultIdenticalAcrossDropRates)
         // drop rates may not hit any of them — only require retries
         // when the fabric actually dropped something. (The E2E tests
         // above force losses with big payloads.)
-        if (co.fabric.frames_dropped > 0)
+        if (co.fabric.frames_dropped > 0) {
             EXPECT_GT(co.agents.retransmits, 0u) << "drop=" << drop;
+        }
     }
 }
 

@@ -55,8 +55,9 @@ TEST(Fuzz, TopaConservesBytesUnderRandomWrites)
             ASSERT_EQ(r.accepted + r.dropped, n);
         }
         ASSERT_EQ(buf.bytesAccepted() + buf.bytesDropped(), sent);
-        if (!ring)
+        if (!ring) {
             ASSERT_LE(buf.bytesAccepted(), buf.capacity());
+        }
     }
 }
 
@@ -461,8 +462,9 @@ TEST(Fuzz, WalTornTailsRecoverPrefixOrFailLoudly)
         durability::Wal::ReplayResult rr =
             durability::Wal::replay(work.string(), 1);
         expectPrefixOrLoudError(rr, golden);
-        if (victim + 1 < wsegs.size())
+        if (victim + 1 < wsegs.size()) {
             EXPECT_FALSE(rr.ok) << "mid-log truncation must be loud";
+        }
     }
     fsys::remove_all(golden_dir);
     fsys::remove_all(work);

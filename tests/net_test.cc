@@ -90,6 +90,62 @@ TEST(WireTest, ReaderLatchesOnTruncation)
     EXPECT_EQ(r.getVarint(), 0u);  // still latched
 }
 
+std::uint64_t
+xxh64Of(const std::string &s)
+{
+    return xxh64(reinterpret_cast<const std::uint8_t *>(s.data()),
+                 s.size());
+}
+
+TEST(WireTest, Xxh64KnownAnswers)
+{
+    EXPECT_EQ(xxh64Of(""), 0xef46db3751d8e999ULL);
+    EXPECT_EQ(xxh64Of("a"), 0xd24ec4f1a98c6e5bULL);
+    EXPECT_EQ(xxh64Of("abc"), 0x44bc2cf5ad770999ULL);
+    // 39 bytes: one 32-byte stripe, then the 4- and 1-byte tails.
+    EXPECT_EQ(xxh64Of("Nobody inspects the spammish repetition"),
+              0xfbcea83c8a378bf1ULL);
+}
+
+TEST(WireTest, Xxh64SeesEverySingleBitFlip)
+{
+    // Lengths 0..100 cover the 32-byte stripes and every mix of the
+    // 8-, 4- and 1-byte tails. The input sits one byte past an
+    // aligned start, so the lane loads are unaligned too.
+    Rng rng(17);
+    std::vector<std::uint8_t> storage(1 + 100);
+    for (std::uint8_t &b : storage)
+        b = static_cast<std::uint8_t>(rng.uniformInt(256));
+    std::uint8_t *data = storage.data() + 1;
+    for (std::size_t len = 0; len <= 100; ++len) {
+        std::vector<std::uint8_t> aligned(data, data + len);
+        std::uint64_t sum = xxh64(data, len);
+        ASSERT_EQ(xxh64(aligned.data(), len), sum) << "len " << len;
+        for (std::size_t bit = 0; bit < 8 * len; ++bit) {
+            data[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+            EXPECT_NE(xxh64(data, len), sum)
+                << "len " << len << " bit " << bit;
+            data[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        }
+    }
+}
+
+TEST(FrameTest, HeaderCarriesVersionTwoAndPayloadXxh64)
+{
+    HeartbeatMsg hb;
+    hb.node = 3;
+    hb.seq = 9;
+    std::vector<std::uint8_t> wire = encodeFrame(hb);
+    ASSERT_GT(wire.size(), kFrameHeaderBytes);
+    ByteReader r(wire.data(), kFrameHeaderBytes);
+    EXPECT_EQ(r.getU32(), kFrameMagic);
+    EXPECT_EQ(r.getU8(), 2u);
+    EXPECT_EQ(r.getU8(), static_cast<std::uint8_t>(MsgType::kHeartbeat));
+    EXPECT_EQ(r.getU32(), wire.size() - kFrameHeaderBytes);
+    EXPECT_EQ(r.getU64(), xxh64(wire.data() + kFrameHeaderBytes,
+                                wire.size() - kFrameHeaderBytes));
+}
+
 TEST(FrameTest, BatchRoundTrip)
 {
     TraceRegionBatchMsg msg;

@@ -804,5 +804,100 @@ TEST(RecoveryTest, SnapshotBoundsReplayNotRunLength)
     fs::remove_all(dir);
 }
 
+// ---------------------------------------------------------------
+// Format versions: a file of another version is refused by name
+// ---------------------------------------------------------------
+
+/** The directory a finished journaled run leaves: WAL segments plus
+ *  the two retained snapshot images. */
+fs::path
+journaledLog(const std::string &tag)
+{
+    RunConfig cfg{1, false, false, /*snapshot_interval=*/2};
+    fs::path dir = freshDir(tag);
+    Cluster cluster(smallConfig());
+    cluster.deploy(kApp, kReplicas);
+    Journal journal(specFor(cfg, dir), metaFor(cfg));
+    ShardedMaster master(&cluster, {}, cfg.shards, 1);
+    master.attachJournal(&journal);
+    std::vector<std::string> ms = demoManifests(cfg);
+    for (int epoch = 0; epoch < 2; ++epoch) {
+        for (const std::string &m : ms)
+            master.apply(m);
+        master.reconcile();
+        journal.maybeSnapshot([&master] { return master.dumpState(); });
+    }
+    // An admission past the newest barrier, so the WAL tail that
+    // recovery replays is not empty.
+    master.apply(ms.front());
+    return dir;
+}
+
+/** Both formats put the version byte right after the u32 magic. */
+void
+setVersionByte(const std::string &path, std::uint8_t version)
+{
+    std::vector<std::uint8_t> bytes = readFile(path);
+    ASSERT_GT(bytes.size(), 4u);
+    bytes[4] = version;
+    writeFile(path, bytes);
+}
+
+TEST(RecoveryTest, OtherWalVersionIsAnErrorNotATornTail)
+{
+    fs::path dir = journaledLog("walversion");
+    std::vector<std::string> segs = Wal::listSegments(dir.string());
+    ASSERT_FALSE(segs.empty());
+    ASSERT_TRUE(recover(dir.string()).ok);
+    // A full header with the WAL magic and version 1 in the last
+    // segment, the slot where a header-less file would be a torn tail.
+    setVersionByte(segs.back(), 1);
+
+    std::uint64_t barrier = listSnapshots(dir.string()).back().first;
+    Wal::ReplayResult rr = Wal::replay(dir.string(), barrier);
+    EXPECT_FALSE(rr.ok);
+    EXPECT_FALSE(rr.torn_tail);
+    EXPECT_NE(rr.error.find("format version 1"), std::string::npos)
+        << rr.error;
+
+    RecoveryResult rec = recover(dir.string());
+    EXPECT_FALSE(rec.ok);
+    EXPECT_NE(rec.error.find("format version 1"), std::string::npos)
+        << rec.error;
+
+    // Opening the log for append refuses too, and starts no segment.
+    EXPECT_DEATH({ Wal wal(Wal::Config{dir.string()}); },
+                 "format version 1");
+    EXPECT_EQ(Wal::listSegments(dir.string()), segs);
+    fs::remove_all(dir);
+}
+
+TEST(RecoveryTest, OtherSnapshotVersionIsNamedInTheError)
+{
+    fs::path dir = journaledLog("snapversion");
+    auto snaps = listSnapshots(dir.string());
+    ASSERT_EQ(snaps.size(), 2u);
+
+    // The newest image alone at version 1 is skipped with its version
+    // named; the older image plus the WAL tail behind it recover.
+    setVersionByte(snaps[1].second, 1);
+    SnapshotLoad load = loadNewestSnapshot(dir.string());
+    ASSERT_TRUE(load.ok) << load.error;
+    EXPECT_EQ(load.state.barrier_lsn, snaps[0].first);
+    EXPECT_NE(load.error.find("format version 1"), std::string::npos)
+        << load.error;
+    EXPECT_TRUE(recover(dir.string()).ok);
+
+    // Every image at version 1: recovery refuses, naming the version.
+    setVersionByte(snaps[0].second, 1);
+    RecoveryResult rec = recover(dir.string());
+    EXPECT_FALSE(rec.ok);
+    EXPECT_NE(rec.error.find("no valid snapshot"), std::string::npos)
+        << rec.error;
+    EXPECT_NE(rec.error.find("format version 1"), std::string::npos)
+        << rec.error;
+    fs::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace exist::durability
