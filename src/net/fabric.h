@@ -7,7 +7,7 @@
  * latency + jitter, and configurable drop / reorder / duplicate
  * faults, all scheduled on a sim/EventQueue in virtual time.
  *
- * Determinism contract (tools/determinism_lint.py + the wire-log
+ * Determinism contract (exist-analyzer's raw-rand rule + the wire-log
  * regression test): every stochastic decision — jitter, drop,
  * reorder, duplicate — is drawn from a per-link util/rng.h stream
  * seeded by splitmix64 over (fabric seed, src node, dst node), so the

@@ -54,6 +54,61 @@ GENERIC_TAILS = {
     "push_front", "pop_front", "length", "compare", "contains",
 }
 
+# Banned spellings, one row per rule: rule -> (spellings, homes).  A
+# spelling is `std::name` (that qualified name), `name(` (a call under
+# any namespace, never a member call) or `ns::name(` (a call qualified
+# by `ns`).  The homes are the repo paths (or path prefixes) allowed to
+# use the spellings.  time-seeded-rng's spellings are clock reads; they
+# count only inside the arguments of an RNG seeding (SEED_CALLS).
+BANNED_API = {
+    # All randomness flows through exist::Rng streams seeded with
+    # splitmix64, so results depend only on (seed, id), never on
+    # global RNG call order.
+    "raw-rand": (
+        ("rand(", "srand(", "rand_r(", "drand48(", "lrand48(", "mrand48(",
+         "srand48(", "random(", "std::random_device", "std::mt19937",
+         "std::mt19937_64", "std::minstd_rand", "std::minstd_rand0",
+         "std::ranlux24", "std::ranlux48", "std::ranlux24_base",
+         "std::ranlux48_base", "std::knuth_b",
+         "std::default_random_engine"),
+        ("src/util/rng.h",)),
+    # A wall-clock seed makes every run unique.
+    "time-seeded-rng": (
+        ("time(", "clock(", "steady_clock::now(", "system_clock::now(",
+         "high_resolution_clock::now("),
+        ()),
+    # Durable bytes flow through the checksummed, crash-point-
+    # instrumented WAL/snapshot code, or recovery cannot see them.
+    "raw-file-io": (
+        ("fopen(", "freopen(", "std::ofstream", "std::fstream"),
+        ("src/durability/", "src/cluster/storage")),
+    # The self-trace plane is write-only from product code: reading it
+    # back could leak span timing into report bytes.
+    "obs-read-back": (
+        ("chromeTraceJson(", "flightDumpText(", "flightDumpTo(",
+         "obs::snapshot(", "obs::eventsRecorded(", "obs::eventsLost(",
+         "obs::threadsRegistered(", "obs::threadsDropped("),
+        ("src/obs/",)),
+    # Locking goes through the annotated exist::Mutex wrappers, so the
+    # thread-safety analysis and the lock-order validator see it.
+    "raw-locking": (
+        ("std::mutex", "std::timed_mutex", "std::recursive_mutex",
+         "std::shared_mutex", "std::shared_timed_mutex", "std::lock_guard",
+         "std::unique_lock", "std::scoped_lock", "std::shared_lock",
+         "std::condition_variable", "std::condition_variable_any"),
+        ("src/util/thread_annotations.h", "src/util/lock_order.h",
+         "src/util/lock_order.cc")),
+}
+SEED_CALLS = {"Rng", "seed", "srand", "srand48"}
+
+
+def banned_uses_outside_home(tu, rules) -> list[tuple]:
+    """The (rule, token, line) uses in `tu` of the given rules that
+    sit outside each rule's homes."""
+    return [u for u in tu.banned_uses
+            if u[0] in rules and not tu.path.startswith(BANNED_API[u[0]][1])]
+
+
 # Contexts a function (usually a lambda) can be rooted in.
 CTX_EVENT = "event-callback"    # sim/EventQueue::schedule{,After}
 CTX_COMMIT = "commit-action"    # CommitLog::commit sequenced action
@@ -179,6 +234,7 @@ class FunctionInfo:
     returned_idents: list[str] = field(default_factory=list)
     sorted_idents: list[str] = field(default_factory=list)
     local_types: dict[str, str] = field(default_factory=dict)
+    local_lines: dict[str, int] = field(default_factory=dict)  # params too
 
 
 @dataclass
@@ -208,7 +264,7 @@ class TranslationUnit:
     enums: list[EnumDef] = field(default_factory=list)
     mutex_decls: list[MutexDecl] = field(default_factory=list)  # non-member
     callback_regs: list[CallbackReg] = field(default_factory=list)
-    raw_sync_uses: list[tuple] = field(default_factory=list)  # (token, line)
+    banned_uses: list[tuple] = field(default_factory=list)  # (rule, tok, line)
     allow_lines: dict = field(default_factory=dict)  # line -> {rules}
     aliases: dict[str, str] = field(default_factory=dict)  # using X = Y
 
@@ -234,7 +290,7 @@ class TranslationUnit:
         tu.enums = [EnumDef(**e) for e in d["enums"]]
         tu.mutex_decls = [MutexDecl(**m) for m in d["mutex_decls"]]
         tu.callback_regs = [CallbackReg(**r) for r in d["callback_regs"]]
-        tu.raw_sync_uses = [tuple(u) for u in d["raw_sync_uses"]]
+        tu.banned_uses = [tuple(u) for u in d["banned_uses"]]
         tu.allow_lines = {int(k): set(v) for k, v in d["allow_lines"].items()}
         tu.aliases = dict(d["aliases"])
         return tu
@@ -255,13 +311,14 @@ def _fn_from_dict(f):
     fn.returned_idents = list(f["returned_idents"])
     fn.sorted_idents = list(f["sorted_idents"])
     fn.local_types = dict(f["local_types"])
+    fn.local_lines = dict(f["local_lines"])
     return fn
 
 
 @dataclass
 class Finding:
     check: str        # check module name ("lock-rank", ...)
-    rule: str         # specific rule id (shared with determinism_lint)
+    rule: str         # specific rule id (the `lint-allow:` spelling)
     file: str
     line: int
     message: str
@@ -363,6 +420,7 @@ class Index:
         into.returned_idents.extend(other.returned_idents)
         into.sorted_idents.extend(other.sorted_idents)
         into.local_types.update(other.local_types)
+        into.local_lines.update(other.local_lines)
         into.returns_value = into.returns_value or other.returns_value
 
     # -- type / mutex resolution -------------------------------------------

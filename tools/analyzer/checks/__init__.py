@@ -5,7 +5,9 @@ whole-program `ast_model.Index`; the driver owns allowlisting and
 output, so passes simply report every violation they can prove.
 """
 
-from checks import determinism, event_block, exhaustive, guarded_by, lock_rank
+from checks import (
+    banned_api, determinism, event_block, exhaustive, guarded_by, lock_rank,
+)
 
 ALL_CHECKS = {
     "lock-rank": lock_rank.run,
@@ -13,4 +15,5 @@ ALL_CHECKS = {
     "event-block": event_block.run,
     "determinism": determinism.run,
     "exhaustive": exhaustive.run,
+    "banned-api": banned_api.run,
 }

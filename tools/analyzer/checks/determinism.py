@@ -1,14 +1,12 @@
 """Check 4: determinism dataflow.
 
-Supersedes the unordered-iteration regexes in determinism_lint.py
-with an AST-accurate pass that is alias-aware (follows `using`
-aliases to the underlying container) and taint-aware (iteration order
-escaping through a collected-into local or a return value is still a
-violation, even when the serialization loop itself runs over an
-innocent std::vector).
+An AST-accurate pass over container iteration that is alias-aware
+(follows `using` aliases to the underlying container) and taint-aware
+(iteration order escaping through a collected-into local or a return
+value is still a violation, even when the serialization loop itself
+runs over an innocent std::vector).
 
-Rules (ids shared with determinism_lint.py where they overlap, so a
-single allowlist waiver covers both layers):
+Rules:
 
   unordered-iteration      iterating an unordered container either
                            (a) inside the bit-identical-output
@@ -16,7 +14,9 @@ single allowlist waiver covers both layers):
                            body feeds a serialization sink
   unordered-taint-return   returning a container populated in
                            unordered iteration order without sorting
-  pointer-keyed-container  map/set keyed by pointer value
+  pointer-keyed-container  map/set keyed by pointer value, declared as
+                           a class member, a function parameter or a
+                           local in the bit-identical-output subsystems
 
 Mitigation is recognized in-function: passing the collected container
 to std::sort (or member .sort()) clears the taint.
@@ -28,8 +28,7 @@ import re
 
 from ast_model import Finding
 
-# Subsystems whose outputs must be bit-identical across runs
-# (mirrors ORDERED_OUTPUT_DIRS in determinism_lint.py).
+# Subsystems whose outputs must be bit-identical across runs.
 ORDERED_OUTPUT_DIRS = (
     "src/analysis/", "src/cluster/", "src/decode/", "src/core/",
     "src/hwtrace/",
@@ -112,17 +111,23 @@ def run(index) -> list[Finding]:
                     function=q))
                 break
 
+    def pointer_keyed(what, file, line, type_text):
+        if _PTR_KEY_RE.search(index.resolve_type(type_text)):
+            findings.append(Finding(
+                check="determinism", rule="pointer-keyed-container",
+                file=file, line=line,
+                message=f"{what} is keyed by pointer value; addresses "
+                        "vary across runs, so any ordered walk is "
+                        "nondeterministic"))
+
     for c in index.classes.values():
-        if not c.file.startswith(ORDERED_OUTPUT_DIRS):
-            continue
-        for m in c.members:
-            t = index.resolve_type(m.type_text)
-            if _PTR_KEY_RE.search(t):
-                findings.append(Finding(
-                    check="determinism", rule="pointer-keyed-container",
-                    file=c.file, line=m.line,
-                    message=f"member '{c.qname}::{m.name}' is keyed "
-                            "by pointer value; addresses vary across "
-                            "runs, so any ordered walk is "
-                            "nondeterministic"))
+        if c.file.startswith(ORDERED_OUTPUT_DIRS):
+            for m in c.members:
+                pointer_keyed(f"member '{c.qname}::{m.name}'", c.file,
+                              m.line, m.type_text)
+    for q, f in index.functions.items():
+        if f.file.startswith(ORDERED_OUTPUT_DIRS):
+            for name, line in f.local_lines.items():
+                pointer_keyed(f"'{name}' in '{q}'", f.file, line,
+                              f.local_types[name])
     return findings

@@ -13,18 +13,14 @@ Rules
   unranked-mutex    an exist::Mutex declared without a LockRank
   lock-rank-order   acquiring rank <= a rank already held
   raw-locking       std::mutex & friends outside the wrapper homes
-                    (shared rule id with determinism_lint.py so one
-                    waiver covers both layers)
+                    (the raw-locking row of ast_model.BANNED_API,
+                    read from the same banned-use fact as banned-api)
 """
 
 from __future__ import annotations
 
-from ast_model import LOCK_RANKS, RANK_NAMES, UNRANKED, Finding
-
-WRAPPER_HOMES = (
-    "src/util/thread_annotations.h",
-    "src/util/lock_order.h",
-    "src/util/lock_order.cc",
+from ast_model import (
+    RANK_NAMES, UNRANKED, Finding, banned_uses_outside_home,
 )
 
 
@@ -54,9 +50,8 @@ def run(index) -> list[Finding]:
                         "hierarchy"))
 
     for tu in index.tus:
-        if tu.path in WRAPPER_HOMES:
-            continue
-        for tok, line in tu.raw_sync_uses:
+        for _rule, tok, line in banned_uses_outside_home(
+                tu, {"raw-locking"}):
             findings.append(Finding(
                 check="lock-rank", rule="raw-locking",
                 file=tu.path, line=line,

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """exist-analyzer: whole-program static analysis for the EXIST tree.
 
-Five project-specific checks over a shared whole-program index
+Six project-specific checks over a shared whole-program index
 (DESIGN.md §13):
 
   lock-rank    static acquires-while-holding graph vs. the LockRank
@@ -11,23 +11,24 @@ Five project-specific checks over a shared whole-program index
   event-block  no blocking primitive reachable from EventQueue
                callbacks or CommitLog sequenced actions
   determinism  unordered-container iteration order must not taint
-               serialized output (alias- and dataflow-aware successor
-               of determinism_lint.py's regex rules)
+               serialized output (alias- and dataflow-aware); no
+               pointer-keyed maps in the output layers
   exhaustive   every MsgType / WAL RecordType enumerator handled in
                every protocol role (encode/decode/name/replay)
+  banned-api   raw RNGs, wall-clock seeds, raw file IO and self-trace
+               read-backs outside their home paths
 
 Driving: the file list comes from compile_commands.json when present
 (plus headers), else a glob of src/.  Per-file lowered facts are
-cached keyed by source-content hash, so warm runs re-parse nothing.
+cached keyed by path and source-content hash, so warm runs re-parse
+nothing.
 
 Frontends: `--frontend native` (default) lowers with the bundled
 structural parser and needs no toolchain; `--frontend clang` lowers
 from `clang -Xclang -ast-dump=json` dumps (cached the same way) where
 clang is installed, and is cross-checked against the native facts.
 
-Suppression uses the same two layers as determinism_lint.py, and the
-overlapping rule ids are spelled identically, so one waiver covers
-both tools:
+Suppression, narrowest first:
   * inline `// lint-allow: <rule>` on (or directly above) the line;
   * a `path:rule` entry in tools/analysis_allow.txt with a
     justification comment.
@@ -42,6 +43,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 
@@ -54,15 +56,7 @@ from checks import ALL_CHECKS  # noqa: E402
 REPO_ROOT = os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))))
 
-CACHE_SCHEMA = 1  # bump to invalidate every cached fact file
-
-CHECK_FROM_FIXTURE = {
-    "lock_rank": "lock-rank",
-    "guarded_by": "guarded-by",
-    "event_block": "event-block",
-    "determinism": "determinism",
-    "exhaustive": "exhaustive",
-}
+CACHE_SCHEMA = 2  # bump to invalidate every cached fact file
 
 
 def rel_path(path: str, root: str) -> str:
@@ -113,9 +107,13 @@ class FactCache:
         if self.dir:
             os.makedirs(self.dir, exist_ok=True)
 
-    def key(self, source: bytes) -> str:
+    def key(self, rel: str, source: bytes) -> str:
+        # The facts carry their file's path, and path-scoped rules read
+        # it, so two files with the same bytes must not share an entry.
         h = hashlib.sha256()
         h.update(self.tag.encode())
+        h.update(b"\x00")
+        h.update(rel.encode())
         h.update(b"\x00")
         h.update(source)
         return h.hexdigest()
@@ -157,12 +155,13 @@ def lower_files(files: list[str], root: str, cache: FactCache,
         except OSError as e:
             sys.stderr.write(f"exist-analyzer: cannot read {path}: {e}\n")
             continue
-        key = cache.key(raw)
+        rel = rel_path(path, root)
+        key = cache.key(rel, raw)
         tu = cache.load(key)
         if tu is None:
             cache.misses += 1
             text = raw.decode("utf-8", errors="replace")
-            tu = frontend.parse_file(rel_path(path, root), text)
+            tu = frontend.parse_file(rel, text)
             cache.store(key, tu)
         tus.append(tu)
     return tus
@@ -214,9 +213,9 @@ def run_checks(index: Index, which: list[str]) -> list[Finding]:
 
 
 def self_test(root: str, which: list[str]) -> int:
-    """Every bad_<check>_*.cc fixture must trip its check; every
-    good_<check>_*.cc must stay clean for that check.  Each fixture is
-    analyzed as its own single-file program so fixtures cannot mask
+    """Every bad_<check>_<rule>_<n>.cc fixture must trip <rule>; every
+    good_<check>_*.cc must stay clean under every check.  Each fixture
+    is analyzed as its own single-file program so fixtures cannot mask
     each other."""
     fdir = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "fixtures")
@@ -228,13 +227,17 @@ def self_test(root: str, which: list[str]) -> int:
     failures = []
     covered: dict[str, set] = {c: set() for c in ALL_CHECKS}
     for name in names:
-        stem = name.rsplit(".", 1)[0]
-        kind, rest = (stem.split("_", 1) + [""])[:2]
-        check = next((c for k, c in CHECK_FROM_FIXTURE.items()
-                      if rest.startswith(k)), None)
-        if kind not in ("bad", "good") or check is None:
-            failures.append(f"{name}: want bad|good_<check>_<n>.cc with "
-                            f"check in {sorted(CHECK_FROM_FIXTURE)}")
+        kind, _, rest = name.rsplit(".", 1)[0].partition("_")
+        check = next((c for c in ALL_CHECKS
+                      if rest.startswith(c.replace("-", "_"))), None)
+        # bad_banned_api_raw_rand_2.cc expects rule raw-rand.
+        rule = re.sub(r"_\d+$", "", rest[len(check or ""):].lstrip("_"))
+        rule = rule.replace("_", "-")
+        if kind not in ("bad", "good") or check is None or \
+                (kind == "bad" and not rule):
+            failures.append(f"{name}: want bad_<check>_<rule>_<n>.cc or "
+                            f"good_<check>_<name>.cc with check in "
+                            f"{sorted(ALL_CHECKS)}")
             continue
         path = os.path.join(fdir, name)
         with open(path, encoding="utf-8") as f:
@@ -243,17 +246,17 @@ def self_test(root: str, which: list[str]) -> int:
         index = Index([tu])
         findings = run_checks(index, which)
         apply_suppressions(findings, index, set())
-        hits = [fd for fd in findings
-                if fd.check == check and not fd.allowlisted]
-        if kind == "bad" and not hits:
-            got = sorted({f"{fd.check}/{fd.rule}" for fd in findings})
-            failures.append(f"{name}: expected a {check} finding, got "
+        live = [fd for fd in findings if not fd.allowlisted]
+        if kind == "bad" and not any(fd.check == check and fd.rule == rule
+                                     for fd in live):
+            got = sorted({f"{fd.check}/{fd.rule}" for fd in live})
+            failures.append(f"{name}: expected {check}/{rule}, got "
                             f"{got or 'nothing'}")
-        elif kind == "good" and hits:
+        elif kind == "good" and live:
             failures.append(
-                f"{name}: expected clean for {check}, got " +
-                "; ".join(f"{fd.rule}@{fd.line}: {fd.message}"
-                          for fd in hits))
+                f"{name}: expected clean, got " +
+                "; ".join(f"{fd.check}/{fd.rule}@{fd.line}: {fd.message}"
+                          for fd in live))
         else:
             covered[check].add(kind)
     for check, kinds in covered.items():

@@ -1,4 +1,4 @@
-// lint-virtual-path: src/cluster/fixture_obs_read_back.cc
+// analyzer-virtual-path: src/cluster/fixture_obs_read_back.cc
 // Self-test fixture: product code reading the self-tracing plane back
 // must trip obs-read-back — span timing feeding a report-adjacent
 // string would break the spans-on == spans-off byte identity that

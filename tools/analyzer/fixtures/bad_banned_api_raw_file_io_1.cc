@@ -1,4 +1,4 @@
-// lint-virtual-path: src/analysis/fixture_raw_file_io.cc
+// analyzer-virtual-path: src/analysis/fixture_raw_file_io.cc
 // Self-test fixture: ad-hoc file writes outside src/durability/ and
 // the cluster storage layer must trip raw-file-io — durable bytes
 // have to flow through the checksummed, crash-point-instrumented

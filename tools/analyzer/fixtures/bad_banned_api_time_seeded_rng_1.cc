@@ -1,4 +1,4 @@
-// lint-virtual-path: src/cluster/fixture_time_seed.cc
+// analyzer-virtual-path: src/cluster/fixture_time_seed.cc
 // Self-test fixture: wall-clock seeds make every run unique; must trip
 // time-seeded-rng.
 #include <ctime>

@@ -1,4 +1,4 @@
-// lint-virtual-path: src/decode/fixture_pointer_keyed.cc
+// analyzer-virtual-path: src/decode/fixture_pointer_keyed.cc
 // Self-test fixture: a container keyed by a raw pointer in an
 // output-assembly layer must trip pointer-keyed-container — iteration
 // order follows allocation addresses, which vary run to run.

@@ -1,4 +1,4 @@
-// lint-virtual-path: src/cluster/fixture_unordered.cc
+// analyzer-virtual-path: src/cluster/fixture_unordered.cc
 // Self-test fixture: hash-map containers in an output-assembly layer
 // must trip unordered-iteration — iteration order is
 // implementation-defined and would leak into serialized reports.

@@ -1,4 +1,4 @@
-// lint-virtual-path: src/cluster/fixture_clean.cc
+// analyzer-virtual-path: src/cluster/fixture_clean.cc
 // Self-test fixture: idiomatic code — ordered containers, exist::Rng
 // streams, annotated locking — must pass every rule.
 #include <cstdint>

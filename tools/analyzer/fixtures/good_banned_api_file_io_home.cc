@@ -1,4 +1,4 @@
-// lint-virtual-path: src/durability/fixture_wal_writer.cc
+// analyzer-virtual-path: src/durability/fixture_wal_writer.cc
 // Self-test fixture: the durability plane is the file-IO home — the
 // same calls that trip raw-file-io elsewhere are clean here.
 #include <cstdio>

@@ -1,4 +1,4 @@
-// lint-virtual-path: src/obs/fixture_exporter.cc
+// analyzer-virtual-path: src/obs/fixture_exporter.cc
 // Self-test fixture: src/obs/ is the read-side home — the plane's own
 // exporters may walk the rings; the same calls trip obs-read-back
 // anywhere else under src/.

@@ -1,4 +1,4 @@
-// lint-virtual-path: src/analysis/fixture_suppressed.cc
+// analyzer-virtual-path: src/analysis/fixture_suppressed.cc
 // Self-test fixture: matches in comments and string literals must not
 // fire, and an inline lint-allow must suppress a real match.
 #include <string>

@@ -15,6 +15,11 @@ statement-level facts (RAII lock scopes, lambda contexts, taint) to
 the native frontend, which is the CI gate.  Where both frontends see
 the same fact kind, the driver's `--frontend clang` run must agree
 with the native run or the divergence itself is the bug report.
+
+The lexical facts (a fixture's virtual path, inline `lint-allow:`
+waivers, banned-API uses) come from the native frontend's one shared
+token pass, `frontend_native.lexical_facts`, so the two frontends
+agree on them by construction, and they survive a failed dump.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import shutil
 import subprocess
 import tempfile
 
+import frontend_native
 from ast_model import (
     LOCK_RANKS, UNRANKED,
     CallSite, ClassInfo, EnumDef, EnumMention, FunctionInfo, Member,
@@ -81,8 +87,8 @@ def _dump_ast(rel_path: str, text: str) -> dict | None:
 
 
 class _Lowerer:
-    def __init__(self, rel_path: str):
-        self.tu = TranslationUnit(path=rel_path)
+    def __init__(self, tu: TranslationUnit):
+        self.tu = tu
         self.cls_stack: list[ClassInfo] = []
         self.fn_stack: list[FunctionInfo] = []
         self.ns_stack: list[str] = []
@@ -239,11 +245,11 @@ class _Lowerer:
 
 
 def parse_file(rel_path: str, text: str) -> TranslationUnit:
-    ast = _dump_ast(rel_path, text)
-    if ast is None:
-        # Degrade to an empty TU; the driver reports clang problems
-        # at startup, and an empty TU only under-approximates.
-        return TranslationUnit(path=rel_path)
-    low = _Lowerer(rel_path)
-    low.walk(ast)
-    return low.tu
+    _tokens, tu = frontend_native.lexical_facts(rel_path, text)
+    # Without a dump the TU keeps only its lexical facts: the driver
+    # reports clang problems at startup, and a missing dump only
+    # under-approximates.
+    ast = _dump_ast(tu.path, text)
+    if ast is not None:
+        _Lowerer(tu).walk(ast)
+    return tu

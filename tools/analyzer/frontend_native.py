@@ -24,7 +24,8 @@ import re
 
 from cpp_lexer import CHR, ID, NUM, PREPROC, PUNCT, STR, Token, lex, match_brace
 from ast_model import (
-    CTX_COMMIT, CTX_EVENT, CTX_POOL, LOCK_RANKS, UNRANKED,
+    BANNED_API, CTX_COMMIT, CTX_EVENT, CTX_POOL, LOCK_RANKS, SEED_CALLS,
+    UNRANKED,
     CallSite, CallbackReg, ClassInfo, EnumDef, EnumMention, FunctionInfo,
     IterSite, BlockOp, LockOp, Member, MutexDecl, TranslationUnit, WriteSite,
 )
@@ -33,7 +34,7 @@ from ast_model import (
 FRONTEND_VERSION = 4
 
 ALLOW_RE = re.compile(r"lint-allow:\s*([\w,\- ]+)")
-VPATH_RE = re.compile(r"(?:lint|analyzer)-virtual-path:\s*(\S+)")
+VPATH_RE = re.compile(r"analyzer-virtual-path:\s*(\S+)")
 
 KEYWORDS = {
     "if", "for", "while", "switch", "return", "sizeof", "case", "do",
@@ -105,14 +106,84 @@ NOT_A_REGISTRATION = MUTATING_TAILS | {
 # caller's context.
 THREAD_SPAWN_TAILS = {"thread", "async"}
 
-RAW_SYNC = {
-    "mutex", "timed_mutex", "recursive_mutex", "shared_mutex",
-    "shared_timed_mutex", "lock_guard", "unique_lock", "scoped_lock",
-    "shared_lock", "condition_variable", "condition_variable_any",
-}
-
 ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
               "<<=", ">>="}
+
+
+# Every banned spelling -> its rule.
+_SPELLING_RULE = {sp: rule for rule, (spellings, _homes) in BANNED_API.items()
+                  for sp in spellings}
+
+
+def _banned(toks, k):
+    """(rule, spelling) when the identifier at k spells a BANNED_API
+    entry, else (None, "").  Member calls (`x.rand()`) never match."""
+    prev = toks[k - 1].text if k else ""
+    if toks[k].kind != ID or prev in (".", "->"):
+        return None, ""
+    name = toks[k].text
+    call = k + 1 < len(toks) and toks[k + 1].text == "("
+    spellings = []
+    if prev == "::" and k >= 2 and toks[k - 2].kind == ID:
+        spellings.append(f"{toks[k - 2].text}::{name}")
+        if call:
+            spellings.append(f"{toks[k - 2].text}::{name}(")
+    if call:
+        spellings.append(name + "(")
+    for sp in spellings:
+        if sp in _SPELLING_RULE:
+            return _SPELLING_RULE[sp], sp
+    return None, ""
+
+
+def _seed_args(toks, k):
+    """Token range [start, end) of the value the seeding at k takes:
+    `seed(...)`, `Rng name(...)` / `{...}`, or `seed = ...;`."""
+    if k and toks[k - 1].text in ("class", "struct"):
+        return None
+    j = k + 1
+    if j < len(toks) and toks[j].kind == ID:
+        j += 1  # `Rng name(...)`
+    if j >= len(toks):
+        return None
+    if toks[j].text in ("(", "{"):
+        return j, match_brace(toks, j)
+    if toks[j].text == "=":
+        end = j
+        while end < len(toks) and toks[end].text != ";":
+            end += 1
+        return j, end
+    return None
+
+
+def lexical_facts(rel_path: str, text: str):
+    """The one token pass both frontends share.  Lexes `text` (so
+    comments and literals never match), honours a fixture's
+    `analyzer-virtual-path:` so path-scoped checks are testable, and
+    records the inline `lint-allow:` waivers and every BANNED_API use
+    as (rule, spelling, line).  Returns (tokens, TranslationUnit)."""
+    tokens, comments = lex(text)
+    for ln in sorted(comments)[:3]:
+        if m := VPATH_RE.search(comments[ln]):
+            rel_path = m.group(1)
+            break
+    tu = TranslationUnit(path=rel_path)
+    for ln, comment in comments.items():
+        if m := ALLOW_RE.search(comment):
+            tu.allow_lines[ln] = {r.strip() for r in m.group(1).split(",")}
+    seeded_to = -1  # clock reads count only inside a seeding's value
+    for k, t in enumerate(tokens):
+        rule, spelling = _banned(tokens, k)
+        if rule and rule != "time-seeded-rng":
+            tu.banned_uses.append((rule, spelling, t.line))
+        if t.text in SEED_CALLS and k > seeded_to and \
+                (span := _seed_args(tokens, k)):
+            for a in range(*span):
+                rule, spelling = _banned(tokens, a)
+                if rule == "time-seeded-rng":
+                    tu.banned_uses.append((rule, spelling, tokens[a].line))
+            seeded_to = span[1]
+    return tokens, tu
 
 
 def parse_file(rel_path: str, text: str) -> TranslationUnit:
@@ -121,19 +192,7 @@ def parse_file(rel_path: str, text: str) -> TranslationUnit:
 
 class _Parser:
     def __init__(self, rel_path: str, text: str):
-        self.tokens, self.comments = lex(text)
-        # Honor a fixture's virtual path (same convention as
-        # determinism_lint) so path-scoped checks are testable.
-        for ln in sorted(self.comments)[:3]:
-            if m := VPATH_RE.search(self.comments[ln]):
-                rel_path = m.group(1)
-                break
-        self.tu = TranslationUnit(path=rel_path)
-        for ln, text_ in self.comments.items():
-            if m := ALLOW_RE.search(text_):
-                self.tu.allow_lines[ln] = {
-                    r.strip() for r in m.group(1).split(",")
-                }
+        self.tokens, self.tu = lexical_facts(rel_path, text)
         self._lambda_counter = 0
 
     # -- helpers ------------------------------------------------------------
@@ -162,19 +221,8 @@ class _Parser:
         return end, "eof"
 
     def run(self) -> TranslationUnit:
-        self._scan_raw_sync()
         self._parse_scope(0, len(self.tokens), ns=[], cls=None)
         return self.tu
-
-    def _scan_raw_sync(self):
-        toks = self.tokens
-        for k in range(len(toks) - 2):
-            if (toks[k].kind == ID and toks[k].text == "std"
-                    and toks[k + 1].text == "::"
-                    and toks[k + 2].kind == ID
-                    and toks[k + 2].text in RAW_SYNC):
-                self.tu.raw_sync_uses.append(
-                    ("std::" + toks[k + 2].text, toks[k].line))
 
     # -- scope-level parsing ------------------------------------------------
 
@@ -577,6 +625,7 @@ class _Parser:
                     ptype = "".join(s.text for s in seg[:cut]
                                     if s is not ids[-1])
                     fn.local_types[pname] = ptype
+                    fn.local_lines[pname] = seg[0].line
                 item_start = k + 1
             k += 1
 
@@ -894,9 +943,11 @@ class _BodyParser:
                 toks[j].text in ("=", "{", ";") and \
                 toks[j - 1].kind == ID:
             name = type_ids[-1]
-            ty = "".join(x for x in type_ids[:-1] if x not in SPECIFIERS)
+            ty = "".join(x.text for x in toks[k:j - 1]
+                         if x.text not in SPECIFIERS)
             if ty and ty not in ("auto",):
                 self.fn.local_types.setdefault(name, ty)
+                self.fn.local_lines.setdefault(name, toks[k].line)
 
     def _parse_for(self, k, end):
         toks = self.p.tokens
